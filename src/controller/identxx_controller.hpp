@@ -31,10 +31,9 @@
 
 #include <functional>
 #include <optional>
-#include <string>
-#include <unordered_map>
 
 #include "controller/admission_controller.hpp"
+#include "controller/windowed_memo.hpp"
 #include "util/rng.hpp"
 
 namespace identxx::ctrl {
@@ -116,6 +115,19 @@ class IdentxxController : public AdmissionController {
   /// Throws when the decision engine was replaced with a non-PF engine.
   [[nodiscard]] const pf::PolicyEngine& engine() const;
 
+  /// How long a consumed response dedupes its channel duplicates, and an
+  /// augmented response suppresses re-augmentation (DESIGN.md §14).
+  static constexpr sim::SimTime kAugmentWindow = 1 * sim::kSecond;
+
+  /// Entries held by the consumed-response and augmented-response memos.
+  /// Each is bounded by the records made in the last kAugmentWindow.
+  [[nodiscard]] std::size_t response_memo_size() const noexcept {
+    return recent_responses_.size();
+  }
+  [[nodiscard]] std::size_t augment_memo_size() const noexcept {
+    return augmented_.size();
+  }
+
  protected:
   // ---- AdmissionController hooks -------------------------------------------
 
@@ -142,21 +154,36 @@ class IdentxxController : public AdmissionController {
   void forward_one_hop(const openflow::PacketIn& msg,
                        net::Ipv4Address toward_ip);
 
-  /// Responses this controller recently augmented, so a response punted at
-  /// every hop through the domain is only augmented once.  Time-bounded:
-  /// an entry only suppresses re-augmentation within kAugmentWindow (a
-  /// response crosses the domain in far less), so reused 5-tuples (port
-  /// reuse on long-running networks) augment correctly again.
-  static constexpr sim::SimTime kAugmentWindow = 1 * sim::kSecond;
-  std::unordered_map<std::string, sim::SimTime> augmented_;
-  /// Responses recently consumed into a pending flow, keyed by the
-  /// flow-oriented tuple plus the carrying packet's ports: an identical
-  /// copy arriving with no pending context within kAugmentWindow is a
-  /// channel duplicate and is deduped, not transit-forwarded
-  /// (DESIGN.md §14).  Responses about the same flow on a different
-  /// ephemeral port (a host querying its peer directly, §4) still
-  /// transit.
-  std::unordered_map<std::string, sim::SimTime> recent_responses_;
+  /// A consumed response: the flow-oriented tuple plus the carrying
+  /// packet's ports.
+  struct ResponseKey {
+    net::FiveTuple flow;
+    std::uint16_t packet_src_port = 0;
+    std::uint16_t packet_dst_port = 0;
+    [[nodiscard]] bool operator==(const ResponseKey&) const noexcept = default;
+  };
+  struct ResponseKeyHash {
+    std::size_t operator()(const ResponseKey& key) const noexcept {
+      return net::hash_combine(
+          std::hash<net::FiveTuple>{}(key.flow),
+          (static_cast<std::size_t>(key.packet_src_port) << 16) |
+              key.packet_dst_port);
+    }
+  };
+
+  /// Responses this controller recently augmented, keyed by the
+  /// responder-as-source tuple, so a response punted at every hop through
+  /// the domain is only augmented once.  Time-bounded: an entry only
+  /// suppresses re-augmentation within kAugmentWindow (a response crosses
+  /// the domain in far less), so reused 5-tuples (port reuse on
+  /// long-running networks) augment correctly again.
+  WindowedMemo<net::FiveTuple> augmented_{kAugmentWindow};
+  /// Responses recently consumed into a pending flow: an identical copy
+  /// arriving with no pending context within kAugmentWindow is a channel
+  /// duplicate and is deduped, not transit-forwarded (DESIGN.md §14).
+  /// Responses about the same flow on a different ephemeral port (a host
+  /// querying its peer directly, §4) still transit.
+  WindowedMemo<ResponseKey, ResponseKeyHash> recent_responses_{kAugmentWindow};
   ResponseAugmenter augmenter_;
   QueryInterceptor query_interceptor_;
   std::uint16_t next_query_port_ = 20000;

@@ -1,10 +1,16 @@
 // Unit tests for the controller layer: .control file assembly (§3.4),
 // baseline controllers (vanilla ACL semantics, Ethane), revocation,
-// flow-usage accounting, query interception, and flow-entry expiry
-// behaviour.
+// flow-usage accounting, query interception, flow-entry expiry
+// behaviour, and the ident++ controller's windowed response memos.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "controller/windowed_memo.hpp"
 #include "core/network.hpp"
 #include "identxx/keys.hpp"
 #include "pf/control_files.hpp"
@@ -371,6 +377,245 @@ TEST(QueryInterception, ControllerAnswersOnBehalfOfHost) {
   }
   EXPECT_TRUE(answered);
   EXPECT_GE(controller.stats().queries_proxied, 1u);
+}
+
+// ---------------------------------------------------------------- memos
+
+constexpr sim::SimTime kWindow = ctrl::IdentxxController::kAugmentWindow;
+
+TEST(WindowedMemo, WindowBoundaryIsExclusive) {
+  ctrl::WindowedMemo<int> memo(kWindow);
+  memo.record(7, 100);
+  EXPECT_TRUE(memo.contains(7, 100));
+  EXPECT_TRUE(memo.contains(7, 100 + kWindow - 1));
+  EXPECT_FALSE(memo.contains(7, 100 + kWindow));
+  EXPECT_FALSE(memo.contains(8, 100));
+}
+
+TEST(WindowedMemo, RefreshedKeyOutlivesItsStaleEntry) {
+  const sim::SimTime t0 = 5 * sim::kMillisecond;
+  const sim::SimTime refresh = t0 + 600 * sim::kMillisecond;
+  ctrl::WindowedMemo<int> memo(kWindow);
+  memo.record(1, t0);
+  memo.record(1, refresh);
+  // This record pops (t0, 1) from the expiry queue; key 1 was refreshed
+  // since, so it must stay.
+  memo.record(2, t0 + kWindow + 100 * sim::kMillisecond);
+  EXPECT_TRUE(memo.contains(1, t0 + 1200 * sim::kMillisecond));
+  EXPECT_EQ(memo.size(), 2u);
+  memo.record(3, refresh + kWindow);
+  EXPECT_FALSE(memo.contains(1, refresh + kWindow));
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+/// Taps an ident++ controller's observer stream: the first punted ident++
+/// response (with its arrival time), the instants responses were consumed
+/// into pending flows and augmented, and an optional one-shot action run
+/// just after the next query goes out.
+struct ResponseTap : ctrl::AdmissionObserver {
+  explicit ResponseTap(sim::Simulator& simulator) : sim(simulator) {}
+
+  void on_packet_in(const openflow::PacketIn& msg) override {
+    if (!first_punt && msg.packet.src_port() == proto::kIdentPort) {
+      first_punt.emplace(sim.now(), msg);
+    }
+  }
+  void on_response_received(net::Ipv4Address) override {
+    consumed.push_back(sim.now());
+  }
+  // A transiting response reports received-then-forwarded at one instant:
+  // it was not consumed.
+  void on_transit_forwarded(const net::FiveTuple&) override {
+    if (!consumed.empty() && consumed.back() == sim.now()) consumed.pop_back();
+  }
+  void on_response_augmented(const net::FiveTuple&) override {
+    augmented.push_back(sim.now());
+  }
+  void on_query_sent(const net::FiveTuple&, net::Ipv4Address) override {
+    if (after_next_query) {
+      sim.schedule_after(1, std::exchange(after_next_query, {}));
+    }
+  }
+
+  sim::Simulator& sim;
+  std::optional<std::pair<sim::SimTime, openflow::PacketIn>> first_punt;
+  std::vector<sim::SimTime> consumed;
+  std::vector<sim::SimTime> augmented;
+  std::function<void()> after_next_query;
+};
+
+ResponseTap& tap(ctrl::IdentxxController& controller, Network& net) {
+  auto owned = std::make_unique<ResponseTap>(net.simulator());
+  ResponseTap& ref = *owned;
+  controller.add_observer(std::move(owned));
+  return ref;
+}
+
+/// Records in `times` (ascending) within the window ending at the last.
+std::size_t in_last_window(const std::vector<sim::SimTime>& times) {
+  std::size_t n = 0;
+  for (const sim::SimTime t : times) n += t > times.back() - kWindow ? 1 : 0;
+  return n;
+}
+
+/// Deliver `msg` to `controller` again at `at`: a byte-identical copy of
+/// an earlier punt, as a duplicating control channel would.
+void redeliver_at(Network& net, ctrl::IdentxxController& controller,
+                  const openflow::PacketIn& msg, sim::SimTime at) {
+  net.simulator().schedule_at(at, [&controller, msg] {
+    controller.on_packet_in(msg);
+  });
+  net.run();
+}
+
+TEST(ResponseMemo, DedupesTwentyThousandResponsesWithExactWindow) {
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& server = net.add_host("server", "10.0.1.1");
+  net.link(server, s1);
+  server.add_user("www", "daemons");
+  server.listen(server.launch("www", "/usr/sbin/httpd"), 80);
+  auto& controller = net.install_controller("pass all\n");
+  ResponseTap& seen = tap(controller, net);
+
+  // 10 000 flows (20 000 consumed responses), all inside one window.
+  constexpr int kClients = 8;
+  constexpr int kFlowsPerClient = 1250;
+  for (int c = 0; c < kClients; ++c) {
+    auto& client = net.add_host("c" + std::to_string(c),
+                                "10.0.0." + std::to_string(c + 1));
+    net.link(client, s1);
+    client.add_user("u", "users");
+    const int pid = client.launch("u", "/bin/x");
+    for (int f = 0; f < kFlowsPerClient; ++f) {
+      net.start_flow(client, pid, "10.0.1.1", 80);
+    }
+  }
+  net.run();
+  const std::uint64_t responses = 2ULL * kClients * kFlowsPerClient;
+  ASSERT_EQ(controller.stats().flows_allowed, responses / 2);
+  ASSERT_EQ(seen.consumed.size(), responses);
+  ASSERT_LT(seen.consumed.back() - seen.consumed.front(), kWindow);
+  EXPECT_EQ(controller.response_memo_size(), responses);
+  EXPECT_EQ(controller.stats().duplicate_responses, 0u);
+
+  // A channel duplicate of the very first response, one tick before its
+  // window closes: deduped, not forwarded on.
+  const auto [t0, first] = *seen.first_punt;
+  const std::uint64_t forwarded = controller.stats().ident_transit_forwarded;
+  redeliver_at(net, controller, first, t0 + kWindow - 1);
+  EXPECT_EQ(controller.stats().duplicate_responses, 1u);
+  EXPECT_EQ(controller.stats().ident_transit_forwarded, forwarded);
+
+  // The same bytes exactly one window later are a fresh transit.
+  redeliver_at(net, controller, first, t0 + kWindow);
+  EXPECT_EQ(controller.stats().duplicate_responses, 1u);
+  EXPECT_EQ(controller.stats().ident_transit_forwarded, forwarded + 1);
+}
+
+TEST(ResponseMemo, RefreshedResponseIsNotExpiredByItsFirstRecord) {
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& client = net.add_host("client", "10.0.0.1");
+  auto& server = net.add_host("server", "10.0.1.1");
+  net.link(client, s1);
+  net.link(server, s1);
+  client.add_user("u", "users");
+  const int pid = client.launch("u", "/bin/x");
+  server.add_user("www", "daemons");
+  server.listen(server.launch("www", "/usr/sbin/httpd"), 80);
+  auto& controller = net.install_controller("pass all\n");
+  ResponseTap& seen = tap(controller, net);
+
+  // t0: the flow's first response (key K) is consumed.
+  const FlowHandle h = net.start_flow(client, pid, "10.0.1.1", 80);
+  net.run();
+  ASSERT_EQ(seen.consumed.size(), 2u);
+  const auto [t0, k] = *seen.first_punt;
+  ASSERT_EQ(seen.consumed.front(), t0);
+
+  // t0 + 0.6 s: the flow re-admits, and a late copy of K fills its fresh
+  // context before the daemon's new answer does — K is consumed again.
+  const sim::SimTime refresh_at = t0 + 600 * sim::kMillisecond;
+  sim::SimTime refreshed = -1;
+  net.simulator().schedule_at(refresh_at, [&] {
+    controller.revoke_all();
+    seen.after_next_query = [&] {
+      refreshed = net.simulator().now();
+      controller.on_packet_in(k);
+    };
+    client.send_flow_packet(h.flow);
+  });
+  net.run();
+  ASSERT_EQ(seen.consumed.size(), 4u);
+  ASSERT_EQ(seen.consumed[2], refreshed);
+  ASSERT_EQ(controller.stats().duplicate_responses, 1u);  // the daemon's
+
+  // t0 + 1.1 s: an unrelated consumption expires K's first record.
+  net.simulator().schedule_at(t0 + 1100 * sim::kMillisecond, [&] {
+    net.start_flow(client, pid, "10.0.1.1", 80);
+  });
+  net.run();
+  ASSERT_EQ(seen.consumed.size(), 6u);
+
+  // t0 + 1.2 s: K is still within the window of its refresh.
+  const std::uint64_t forwarded = controller.stats().ident_transit_forwarded;
+  redeliver_at(net, controller, k, refreshed + 600 * sim::kMillisecond);
+  EXPECT_EQ(controller.stats().duplicate_responses, 2u);
+  EXPECT_EQ(controller.stats().ident_transit_forwarded, forwarded);
+  // ...until the refresh's own window closes.
+  redeliver_at(net, controller, k, refreshed + kWindow);
+  EXPECT_EQ(controller.stats().duplicate_responses, 2u);
+  EXPECT_EQ(controller.stats().ident_transit_forwarded, forwarded + 1);
+}
+
+TEST(ResponseMemo, BothMemosStayBoundedUnderSteadyTraffic) {
+  // Two domains: B augments responses transiting it (§4), A and B both
+  // consume responses to their own queries.
+  Network net;
+  const auto sA = net.add_switch("sA");
+  const auto sB = net.add_switch("sB");
+  auto& client = net.add_host("client", "10.1.0.1");
+  auto& server = net.add_host("server", "10.2.0.1");
+  net.link(client, sA);
+  net.link(sA, sB);
+  net.link(server, sB);
+  client.add_user("u", "users");
+  const int pid = client.launch("u", "/bin/x");
+  server.add_user("www", "daemons");
+  server.listen(server.launch("www", "/usr/sbin/httpd"), 80);
+  auto& ctrlA = net.install_domain_controller("pass all\n", {sA});
+  auto& ctrlB = net.install_domain_controller("pass all\n", {sB});
+  ctrlB.set_response_augmenter(
+      [](const proto::Response&, const net::FiveTuple&)
+          -> std::optional<proto::Section> {
+        proto::Section section;
+        section.add(proto::keys::kNetwork, "branchB");
+        return section;
+      });
+  ResponseTap& seenA = tap(ctrlA, net);
+  ResponseTap& seenB = tap(ctrlB, net);
+
+  // A new flow every 20 ms for 3.5 windows.
+  for (sim::SimTime at = 0; at < 3500 * sim::kMillisecond;
+       at += 20 * sim::kMillisecond) {
+    net.simulator().schedule_at(at, [&] {
+      net.start_flow(client, pid, "10.2.0.1", 80);
+    });
+  }
+  net.run();
+  ASSERT_EQ(ctrlA.stats().flows_allowed, 175u);
+
+  const auto check = [](std::size_t size,
+                         const std::vector<sim::SimTime>& records) {
+    ASSERT_GT(records.back() - records.front(), 3 * kWindow);
+    EXPECT_LE(size, in_last_window(records));
+    EXPECT_LT(size, records.size());
+  };
+  check(ctrlA.response_memo_size(), seenA.consumed);
+  check(ctrlB.response_memo_size(), seenB.consumed);
+  check(ctrlB.augment_memo_size(), seenB.augmented);
+  EXPECT_EQ(ctrlA.augment_memo_size(), 0u);
 }
 
 // ---------------------------------------------------------------- misc

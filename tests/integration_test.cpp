@@ -628,6 +628,58 @@ TEST(BranchCollaboration, RemoteControllerAugmentsResponses) {
   EXPECT_TRUE(ctrlA.audit_log().back().allowed);
 }
 
+TEST(BranchCollaboration, MultiHopResponseAugmentedOncePerWindow) {
+  // B's domain is three switches deep: serverB's answer to A's query is
+  // punted to B at every hop but augmented only once.  The same 5-tuple
+  // re-admitted a window later (port reuse) is augmented again.
+  Network net;
+  const auto sA = net.add_switch("sA");
+  const auto sB1 = net.add_switch("sB1");
+  const auto sB2 = net.add_switch("sB2");
+  const auto sB3 = net.add_switch("sB3");
+  auto& clientA = net.add_host("clientA", "10.1.0.1");
+  auto& serverB = net.add_host("serverB", "10.2.0.1");
+  net.link(clientA, sA);
+  net.link(sA, sB1);
+  net.link(sB1, sB2);
+  net.link(sB2, sB3);
+  net.link(serverB, sB3);
+  auto& ctrlA = net.install_domain_controller(
+      "block all\n"
+      "pass from any to any with eq(@dst[network], branchB)\n",
+      {sA});
+  auto& ctrlB = net.install_domain_controller("pass all\n", {sB1, sB2, sB3});
+  ctrlB.set_response_augmenter(
+      [](const proto::Response&, const net::FiveTuple&)
+          -> std::optional<proto::Section> {
+        proto::Section section;
+        section.add(proto::keys::kNetwork, "branchB");
+        return section;
+      });
+  const int pid = launch_app(clientA, "alice", "users", "/bin/app");
+  const int srv = launch_app(serverB, "www", "daemons", "/bin/srv");
+  serverB.listen(srv, 80);
+
+  const FlowHandle h = net.start_flow(clientA, pid, "10.2.0.1", 80);
+  net.run();
+  EXPECT_TRUE(net.flow_delivered(h));
+  EXPECT_EQ(ctrlB.stats().responses_augmented, 1u);
+  EXPECT_EQ(ctrlB.stats().ident_transit_forwarded, 3u);
+
+  net.simulator().schedule_at(
+      ctrl::IdentxxController::kAugmentWindow + 500 * sim::kMillisecond, [&] {
+        ctrlA.revoke_all();
+        ctrlB.revoke_all();
+        clientA.send_flow_packet(h.flow);
+      });
+  net.run();
+  EXPECT_EQ(ctrlB.stats().responses_augmented, 2u);
+  EXPECT_EQ(ctrlB.stats().ident_transit_forwarded, 6u);
+  ASSERT_EQ(ctrlA.audit_log().size(), 2u);
+  EXPECT_EQ(ctrlA.audit_log().back().flow, h.flow);
+  EXPECT_TRUE(ctrlA.audit_log().back().allowed);
+}
+
 TEST(BranchCollaboration, WithoutEndorsementBlocked) {
   // Same setup but B does not augment: A's policy fails.
   Network net;

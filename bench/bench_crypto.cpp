@@ -3,15 +3,16 @@
 // delegation rules (Figs 5/7).  These bound how expensive authenticated
 // delegation is per flow-setup.
 //
-// The fast-path flavours (DESIGN.md §9): BM_SchnorrVerifyPrecomputed
-// (per-key comb table, no doubling chain), BM_SchnorrVerifyColdKeys (keys
-// never seen twice — the no-precomputation floor), BM_EcMulAdd* (fused
+// The fast-path flavours (DESIGN.md §9): BM_SchnorrVerifierHotKey (a
+// registered key's comb table, no doubling chain), BM_SchnorrVerifyColdKeys
+// (stateless verify() — the no-precomputation floor), BM_EcMulAdd* (fused
 // Shamir double-scalar vs two full multiplications), BM_ScalarReduce*
 // (folding reduction mod n vs binary long division), and
 // BM_SchnorrVerifierMemoHit (the controller-layer verification memo).
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "crypto/ct_sign.hpp"
@@ -116,21 +117,33 @@ void BM_SchnorrVerify(benchmark::State& state) {
 BENCHMARK(BM_SchnorrVerify);
 
 /// Verification against a key whose comb table was built at registration:
-/// the per-daemon-key steady state on the flow-setup hot path.
-void BM_SchnorrVerifyPrecomputed(benchmark::State& state) {
+/// the per-daemon-key steady state on the flow-setup hot path.  A ring of
+/// distinct signed messages and a one-entry memo make every call miss the
+/// memo and run the comb pass.
+void BM_SchnorrVerifierHotKey(benchmark::State& state) {
+  constexpr std::size_t kRing = 16;
   const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  const crypto::PrecomputedPublicKey pre(key.public_key());
-  const std::string message(256, 'm');
-  const crypto::Signature sig = key.sign(message);
+  crypto::SchnorrVerifier verifier(/*memo_capacity=*/1);
+  verifier.register_key(key.public_key());
+  std::vector<std::string> messages;
+  std::vector<crypto::Signature> sigs;
+  for (std::size_t i = 0; i < kRing; ++i) {
+    messages.push_back(std::string(256, 'm') + std::to_string(i));
+    sigs.push_back(key.sign(messages.back()));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::verify(pre, message, sig));
+    const std::size_t j = i++ % kRing;
+    benchmark::DoNotOptimize(
+        verifier.verify(key.public_key(), messages[j], sigs[j]));
   }
 }
-BENCHMARK(BM_SchnorrVerifyPrecomputed);
+BENCHMARK(BM_SchnorrVerifierHotKey);
 
-/// Verification floor with NO per-key amortization: a pool of keys larger
-/// than the shared table cache, so every verify runs the fused Shamir pass
-/// from scratch.
+/// Verification floor with NO per-key amortization: plain verify() keeps
+/// no per-key state, so every call runs the per-call GLV pass (a*G + b*P
+/// through the endomorphism split — four half-length scalar streams on
+/// one ~130-double chain, DESIGN.md §15).
 void BM_SchnorrVerifyColdKeys(benchmark::State& state) {
   struct Case {
     crypto::PublicKey key;
@@ -151,37 +164,10 @@ void BM_SchnorrVerifyColdKeys(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerifyColdKeys);
 
-/// The GLV cold-key floor in isolation: verify_tiered with no tables at
-/// all runs a*G + b*P through the endomorphism split — four half-length
-/// scalar streams on one ~130-double chain (DESIGN.md §15).
-void BM_SchnorrVerifyColdKeyGLV(benchmark::State& state) {
-  struct Case {
-    crypto::PublicKey key;
-    crypto::Signature sig;
-  };
-  std::vector<Case> cases;
-  const std::string message(256, 'm');
-  const auto bytes = std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(message.data()), message.size());
-  for (int i = 0; i < 256; ++i) {
-    const crypto::PrivateKey key =
-        crypto::PrivateKey::from_seed("glv-cold-" + std::to_string(i));
-    cases.push_back(Case{key.public_key(), key.sign(message)});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const Case& c = cases[i++ % cases.size()];
-    benchmark::DoNotOptimize(crypto::verify_tiered(c.key, /*hot=*/nullptr,
-                                                   /*warm=*/nullptr, bytes,
-                                                   c.sig));
-  }
-}
-BENCHMARK(BM_SchnorrVerifyColdKeyGLV);
-
 /// Batch verification of N distinct attestations from a small principal
 /// pool (a decide_many burst: a handful of daemons attest many flows).
 /// One random-linear-combination MSM settles the whole batch; compare
-/// time/N against BM_SchnorrVerifyPrecomputed for the per-item speedup.
+/// time/N against BM_SchnorrVerifierHotKey for the per-item speedup.
 /// The pool keys register eager-hot (default tier budget) — a decide_many
 /// burst comes from registered daemons, so their key terms ride the
 /// chain-free comb walk and only the 64-bit R-term streams set the shared

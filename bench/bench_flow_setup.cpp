@@ -72,8 +72,8 @@ struct Rig {
         break;
       }
       case Flavour::kIdentxxIngressOnlyLru: {
-        // Capacity-bounded LRU variant of the decision cache (the pipeline
-        // swaps in an LruDecisionCache when a capacity is configured).
+        // Capacity-bounded LRU variant of the decision cache (the
+        // DecisionCache evicts least-recently-used entries past it).
         ctrl::ControllerConfig config;
         config.install_full_path = false;
         config.decision_cache_ttl = 60 * sim::kSecond;

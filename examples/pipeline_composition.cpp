@@ -4,9 +4,10 @@
 // The ident++ controller and every baseline are configurations of the same
 // five-stage AdmissionPipeline (DESIGN.md, "AdmissionPipeline stage
 // contract").  This example assembles a custom flavour from parts — an
-// Ethane-style PF engine, an LRU decision cache, the standard path install
-// strategy — and attaches a custom AdmissionObserver that watches
-// decisions stream past, the hook that subsumes the audit log and stats.
+// Ethane-style PF engine, a decision cache (128 verdicts, LRU, one-minute
+// TTL), the standard path install strategy — and attaches a custom
+// AdmissionObserver that watches decisions stream past, the hook that
+// subsumes the audit log and stats.
 //
 //   $ ./examples/pipeline_composition
 
@@ -50,15 +51,16 @@ int main() {
   net.link(server, s1);
 
   // Assemble the pipeline by hand: no daemon queries (NoQueryPlanner), a
-  // PF+=2 engine over network primitives, a small LRU decision cache, and
-  // default path installation.  This is "Ethane with a decision cache" —
+  // PF+=2 engine over network primitives, a small decision cache (128
+  // verdicts evicted least-recently-used, each expiring after a minute),
+  // and default path installation.  This is "Ethane with a decision cache" —
   // a flavour the old monolithic controllers could not express.
   ctrl::AdmissionPipeline pipeline;
   pipeline.planner = std::make_unique<ctrl::NoQueryPlanner>();
   pipeline.engine = std::make_unique<ctrl::PolicyDecisionEngine>(
       pf::parse("block all\npass from any to any port 80\n", "example"));
-  pipeline.cache =
-      std::make_unique<ctrl::LruDecisionCache>(128, 60 * sim::kSecond);
+  pipeline.cache = std::make_unique<ctrl::DecisionCache>(
+      /*capacity=*/128, /*ttl=*/60 * sim::kSecond);
 
   ctrl::ControllerConfig config;
   config.name = "composed";
@@ -81,7 +83,7 @@ int main() {
               net.flow_delivered(telnet) ? "DELIVERED" : "BLOCKED");
 
   // Revoke the installed entries: the next packet takes a packet-in again,
-  // but the LRU cache replays the verdict without re-evaluating policy.
+  // but the cache replays the verdict without re-evaluating policy.
   controller.revoke_all();  // also invalidates the cache…
   std::printf("after revoke_all (cache invalidated, engine re-decides):\n");
   client.send_flow_packet(web.flow, "again", net::TcpFlags::kPsh);

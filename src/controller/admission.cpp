@@ -1,6 +1,7 @@
 #include "controller/admission.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <tuple>
 
@@ -527,8 +528,8 @@ PolicyDecisionEngine::PolicyDecisionEngine(pf::Ruleset ruleset,
   // is built once, here, instead of lazily on the flow-setup hot path.
   // Registration costs ~1000 EC ops and ~69 KB per key, so only policies
   // that can actually verify signatures (a verify() predicate, or
-  // allowed() whose delegated rules may call verify) pay it; anything
-  // else leaves keys to the lazy second-sighting cache in schnorr.cpp.
+  // allowed() whose delegated rules may call verify) pay it; a key that is
+  // never registered verifies through the tableless per-call GLV path.
   const auto& verifier = engine_->registry().verifier();
   bool verifies = false;
   for (const pf::Rule& rule : engine_->ruleset().rules) {
@@ -697,50 +698,10 @@ AdmissionDecision AclDecisionEngine::decide(const AdmissionContext& ctx) {
 
 // ---------------------------------------------------------------- caches
 
-std::optional<AdmissionDecision> TtlDecisionCache::lookup(
-    const net::FiveTuple& flow, sim::SimTime now) {
-  const auto it = entries_.find(flow);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  // expires == 0 marks a never-expiring entry (ttl = 0): the old
-  // `now + 0` stamp expired everything instantly, turning the cache into
-  // a silent bypass that still counted insertions.
-  if (it->second.expires > 0 && now >= it->second.expires) {
-    entries_.erase(it);
-    ++stats_.expirations;
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  return it->second.decision;
-}
-
-void TtlDecisionCache::store(const net::FiveTuple& flow,
-                             const AdmissionDecision& decision,
-                             sim::SimTime now) {
-  entries_[flow] = Entry{decision, ttl_ > 0 ? now + ttl_ : 0};
-  ++stats_.insertions;
-}
-
-std::size_t TtlDecisionCache::invalidate_if(
-    const std::function<bool(const net::FiveTuple&)>& pred) {
-  const std::size_t removed = std::erase_if(
-      entries_, [&pred](const auto& entry) { return pred(entry.first); });
-  stats_.invalidations += removed;
-  return removed;
-}
-
-void TtlDecisionCache::clear() {
-  stats_.invalidations += entries_.size();
-  entries_.clear();
-}
-
-LruDecisionCache::LruDecisionCache(std::size_t capacity, sim::SimTime ttl)
+DecisionCache::DecisionCache(std::size_t capacity, sim::SimTime ttl)
     : capacity_(capacity == 0 ? 1 : capacity), ttl_(ttl) {}
 
-std::optional<AdmissionDecision> LruDecisionCache::lookup(
+std::optional<AdmissionDecision> DecisionCache::lookup(
     const net::FiveTuple& flow, sim::SimTime now) {
   const auto it = entries_.find(flow);
   if (it == entries_.end()) {
@@ -759,9 +720,9 @@ std::optional<AdmissionDecision> LruDecisionCache::lookup(
   return it->second->decision;
 }
 
-void LruDecisionCache::store(const net::FiveTuple& flow,
-                             const AdmissionDecision& decision,
-                             sim::SimTime now) {
+void DecisionCache::store(const net::FiveTuple& flow,
+                          const AdmissionDecision& decision,
+                          sim::SimTime now) {
   const sim::SimTime expires = ttl_ > 0 ? now + ttl_ : 0;
   if (const auto it = entries_.find(flow); it != entries_.end()) {
     it->second->decision = decision;
@@ -780,7 +741,7 @@ void LruDecisionCache::store(const net::FiveTuple& flow,
   ++stats_.insertions;
 }
 
-std::size_t LruDecisionCache::invalidate_if(
+std::size_t DecisionCache::invalidate_if(
     const std::function<bool(const net::FiveTuple&)>& pred) {
   std::size_t removed = 0;
   for (auto it = order_.begin(); it != order_.end();) {
@@ -796,7 +757,7 @@ std::size_t LruDecisionCache::invalidate_if(
   return removed;
 }
 
-void LruDecisionCache::clear() {
+void DecisionCache::clear() {
   stats_.invalidations += entries_.size();
   entries_.clear();
   order_.clear();
@@ -985,13 +946,13 @@ AdmissionPipeline& AdmissionPipeline::finish(const ControllerConfig& config) {
   // Caching activates when either knob is set: a capacity alone means a
   // pure LRU bound (entries never age out), a TTL alone an unbounded
   // time-based cache.
-  if (!cache) {
-    if (config.decision_cache_capacity > 0) {
-      cache = std::make_unique<LruDecisionCache>(config.decision_cache_capacity,
-                                                 config.decision_cache_ttl);
-    } else if (config.decision_cache_ttl > 0) {
-      cache = std::make_unique<TtlDecisionCache>(config.decision_cache_ttl);
-    }
+  if (!cache && (config.decision_cache_capacity > 0 ||
+                 config.decision_cache_ttl > 0)) {
+    cache = std::make_unique<DecisionCache>(
+        config.decision_cache_capacity > 0
+            ? config.decision_cache_capacity
+            : std::numeric_limits<std::size_t>::max(),
+        config.decision_cache_ttl);
   }
   return *this;
 }

@@ -21,7 +21,7 @@
 //                       allow-everything for the distributed firewall.  The
 //                       batched decide_many() entry point amortizes policy
 //                       evaluation across simultaneous packet-ins.
-//   DecisionCache     — optional TTL/LRU memo of verdicts so repeat
+//   DecisionCache     — optional LRU/TTL memo of verdicts so repeat
 //                       packet-ins skip the daemon round trip (§6 ablation).
 //   InstallStrategy   — turns a verdict into flow-table state: full-path vs
 //                       ingress-only entries, drop-entry placement.
@@ -94,17 +94,15 @@ struct ControllerConfig {
   /// packet-ins for an already-decided flow (e.g. from later switches when
   /// install_full_path is off, or after an idle-timeout race) are answered
   /// without re-querying the daemons.  Caching is enabled when this or
-  /// decision_cache_capacity is nonzero.  ttl = 0 uniformly means entries
-  /// NEVER age out (both cache flavours): with a capacity that is a pure
-  /// LRU bound, without one (TtlDecisionCache constructed directly) the
-  /// cache only shrinks through invalidation.  It never means "bypass" —
-  /// a cache that expires everything instantly would count insertions and
-  /// misses while silently disabling the §6 ablation it exists for.
-  /// Revocation, policy swaps and the shard control epoch invalidate
-  /// cached verdicts regardless of remaining TTL.
+  /// decision_cache_capacity is nonzero.  ttl = 0 means entries NEVER age
+  /// out; only the capacity bound and invalidation remove them.  It never
+  /// means "bypass" — a cache that expires everything instantly would
+  /// count insertions and misses while silently disabling the §6 ablation
+  /// it exists for.  Revocation, policy swaps and the shard control epoch
+  /// invalidate cached verdicts regardless of remaining TTL.
   sim::SimTime decision_cache_ttl = 0;
-  /// Bound on cached decisions (0 = unbounded).  With a bound the cache
-  /// evicts least-recently-used entries (LruDecisionCache).
+  /// Bound on cached decisions; the cache evicts least-recently-used
+  /// entries past it.  0 = unbounded (a TTL-only cache).
   std::size_t decision_cache_capacity = 0;
   /// Priority for installed per-flow entries; ident++ intercept rules are
   /// installed at kInterceptPriority and must stay on top.
@@ -531,6 +529,10 @@ class AllowAllDecisionEngine : public DecisionEngine {
 // Stage 3b: DecisionCache
 // ---------------------------------------------------------------------------
 
+/// Capacity-bounded LRU memo of verdicts with an optional TTL.  ttl = 0
+/// means entries never age out — only eviction and invalidation remove
+/// them (see ControllerConfig::decision_cache_ttl).  Lookup refreshes
+/// recency.
 class DecisionCache {
  public:
   struct Stats {
@@ -542,73 +544,25 @@ class DecisionCache {
     std::uint64_t invalidations = 0; ///< entries dropped by invalidate_if/clear
   };
 
-  virtual ~DecisionCache() = default;
+  /// capacity 0 is treated as 1.
+  DecisionCache(std::size_t capacity, sim::SimTime ttl);
 
-  virtual std::optional<AdmissionDecision> lookup(const net::FiveTuple& flow,
-                                                  sim::SimTime now) = 0;
-  virtual void store(const net::FiveTuple& flow,
-                     const AdmissionDecision& decision, sim::SimTime now) = 0;
+  std::optional<AdmissionDecision> lookup(const net::FiveTuple& flow,
+                                          sim::SimTime now);
+  void store(const net::FiveTuple& flow, const AdmissionDecision& decision,
+             sim::SimTime now);
 
   /// Drop cached decisions whose flow matches `pred`; returns entries
   /// dropped.  Revocation MUST call this: a revoked flow silently
   /// re-admitted from cache would defeat revoke_if entirely.
-  virtual std::size_t invalidate_if(
-      const std::function<bool(const net::FiveTuple&)>& pred) = 0;
-
-  virtual void clear() = 0;
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
- protected:
-  Stats stats_;
-};
-
-/// Unbounded TTL cache: every entry expires `ttl` after insertion.
-/// ttl = 0 means entries never expire (matching LruDecisionCache's
-/// convention; see ControllerConfig::decision_cache_ttl) — the cache then
-/// only shrinks through invalidate_if/clear.
-class TtlDecisionCache : public DecisionCache {
- public:
-  explicit TtlDecisionCache(sim::SimTime ttl) : ttl_(ttl) {}
-
-  std::optional<AdmissionDecision> lookup(const net::FiveTuple& flow,
-                                          sim::SimTime now) override;
-  void store(const net::FiveTuple& flow, const AdmissionDecision& decision,
-             sim::SimTime now) override;
   std::size_t invalidate_if(
-      const std::function<bool(const net::FiveTuple&)>& pred) override;
-  void clear() override;
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return entries_.size();
-  }
+      const std::function<bool(const net::FiveTuple&)>& pred);
 
- private:
-  struct Entry {
-    AdmissionDecision decision;
-    sim::SimTime expires = 0;
-  };
-  sim::SimTime ttl_;
-  std::unordered_map<net::FiveTuple, Entry> entries_;
-};
-
-/// Capacity-bounded LRU cache with optional TTL (0 = entries never age
-/// out, only eviction bounds them).  Lookup refreshes recency.
-class LruDecisionCache : public DecisionCache {
- public:
-  LruDecisionCache(std::size_t capacity, sim::SimTime ttl);
-
-  std::optional<AdmissionDecision> lookup(const net::FiveTuple& flow,
-                                          sim::SimTime now) override;
-  void store(const net::FiveTuple& flow, const AdmissionDecision& decision,
-             sim::SimTime now) override;
-  std::size_t invalidate_if(
-      const std::function<bool(const net::FiveTuple&)>& pred) override;
-  void clear() override;
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return entries_.size();
-  }
+  void clear();
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] sim::SimTime ttl() const noexcept { return ttl_; }
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
   struct Entry {
@@ -622,6 +576,7 @@ class LruDecisionCache : public DecisionCache {
   sim::SimTime ttl_;
   Order order_;  ///< front = most recently used
   std::unordered_map<net::FiveTuple, Order::iterator> entries_;
+  Stats stats_;
 };
 
 // ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ void AdmissionController::handle_new_flow(const openflow::PacketIn& msg,
   }
 
   if (ResponseCollector::ready(*ctx)) {
-    decide_one(*ctx, false);
+    decide_one(*ctx);
     return;
   }
 
@@ -507,17 +507,16 @@ std::size_t AdmissionController::remove_flow_entries(
 }
 
 void AdmissionController::maybe_decide(AdmissionContext& ctx) {
-  if (ResponseCollector::ready(ctx)) decide_one(ctx, false);
+  if (ResponseCollector::ready(ctx)) decide_one(ctx);
 }
 
-void AdmissionController::decide_one(AdmissionContext& ctx, bool timed_out) {
+void AdmissionController::decide_one(AdmissionContext& ctx) {
   if (ctx.decision_in_flight) return;
   // Late proxy fill-in for sides that never answered.
   const std::size_t proxied = pipeline_.collector->fill_proxies_at_decide(ctx);
   for (std::size_t i = 0; i < proxied; ++i) {
     notify([&](AdmissionObserver& o) { o.on_query_proxied(ctx.flow); });
   }
-  ctx.timed_out = timed_out;
   if (config_.decision_lane == sim::kGlobalLane) {
     const AdmissionDecision decision = pipeline_.engine->decide(ctx);
     finalize(ctx, decision);

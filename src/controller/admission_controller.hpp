@@ -192,7 +192,7 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   /// decision lane configured, evaluation is dispatched to that lane and
   /// the verdict commits back on the global lane at the same virtual
   /// instant (commit_decision).
-  void decide_one(AdmissionContext& ctx, bool timed_out);
+  void decide_one(AdmissionContext& ctx);
 
   template <typename Fn>
   void notify(Fn&& fn) {

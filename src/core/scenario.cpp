@@ -799,4 +799,70 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
   return result;
 }
 
+bool parse_scenario_flag(std::span<const std::string_view> args,
+                         std::size_t& i, ScenarioOptions& options) {
+  const std::string_view flag = args[i];
+  if (flag.empty() || flag[0] != '-') return false;
+  const auto bad = [&flag](const char* what) {
+    return ParseError(std::string(flag) + ": " + what);
+  };
+  const auto value = [&]() -> std::string_view {
+    if (i + 1 >= args.size()) throw bad("missing value");
+    return args[++i];
+  };
+  const auto count = [&](std::uint64_t min = 0) -> std::uint64_t {
+    const auto n = util::parse_u64(value());
+    if (!n || *n < min) throw bad("bad value");
+    return *n;
+  };
+  const auto u32 = [&](std::uint64_t min = 0) {
+    return static_cast<std::uint32_t>(count(min));
+  };
+  const auto micros = [&] {
+    return static_cast<sim::SimTime>(count()) * sim::kMicrosecond;
+  };
+  const auto probability = [&] {
+    const std::string text(value());
+    char* end = nullptr;
+    const double p = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
+      throw bad("bad value");
+    }
+    return p;
+  };
+
+  if (flag == "--shards") {
+    options.shards = u32();
+  } else if (flag == "--seed") {
+    options.seed = count();
+  } else if (flag == "--src-only") {
+    options.config.query_both_ends = false;
+  } else if (flag == "--traffic") {
+    options.traffic = std::string(value());
+  } else if (flag == "--k-paths") {
+    options.k_paths = u32(1);
+  } else if (flag == "--link-bw") {
+    options.link_bandwidth_bps = count() * 1'000'000ULL;
+  } else if (flag == "--queue-depth") {
+    options.queue_depth = u32();
+  } else if (flag == "--chan-loss") {
+    options.chan_loss = probability();
+  } else if (flag == "--chan-dup") {
+    options.chan_dup = probability();
+  } else if (flag == "--chan-delay-us") {
+    options.chan_delay = micros();
+  } else if (flag == "--max-retries") {
+    options.config.max_query_retries = u32();
+  } else if (flag == "--retry-jitter-us") {
+    options.config.retry_jitter = micros();
+  } else if (flag == "--degraded-ttl-us") {
+    options.config.degraded_cover_ttl = micros();
+  } else if (flag == "--probe-delay-us") {
+    options.config.readmission_probe_delay = micros();
+  } else {
+    throw bad("unknown flag");
+  }
+  return true;
+}
+
 }  // namespace identxx::core

@@ -63,6 +63,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -196,6 +197,36 @@ struct ScenarioOptions {
   double chan_dup = 0.0;
   sim::SimTime chan_delay = 0;
 };
+
+/// The command-line flags shared by the scenario tools (identxx_sim,
+/// identxx_mc), in usage-line form.
+inline constexpr const char* kScenarioFlagUsage =
+    "[--shards N] [--seed S] [--src-only] [--traffic MODEL] [--k-paths K] "
+    "[--link-bw MBPS] [--queue-depth PKTS] [--chan-loss P] [--chan-dup P] "
+    "[--chan-delay-us N] [--max-retries N] [--retry-jitter-us N] "
+    "[--degraded-ttl-us N] [--probe-delay-us N]";
+
+/// Parse the scenario flag at args[i] into `options`, advancing `i` past
+/// its value.  Returns false, leaving `i` alone, when args[i] is not a
+/// flag (does not start with '-').  Throws ParseError for an unknown
+/// flag, a missing value or an out-of-range value.
+///
+///   --shards N           admission domains (ScenarioOptions::shards)
+///   --seed S             RNG seed, overriding the file's `seed` line
+///   --src-only           query only the source daemon (the §6 ablation)
+///   --traffic MODEL      override every flow's traffic model
+///   --k-paths K          equal-cost paths per (src,dst) pair, K >= 1
+///   --link-bw MBPS       override every link's bandwidth (0 = declared)
+///   --queue-depth PKTS   bounded per-port switch output queues
+///   --chan-loss P        control-channel loss probability, P in [0, 1]
+///   --chan-dup P         control-channel duplication probability
+///   --chan-delay-us N    max per-message control-channel delay
+///   --max-retries N      re-query budget before the timeout decision
+///   --retry-jitter-us N  seeded jitter bound on retry deadlines
+///   --degraded-ttl-us N  fail-closed degraded-cover TTL (0 = none)
+///   --probe-delay-us N   delay before a degraded flow's re-admission probe
+bool parse_scenario_flag(std::span<const std::string_view> args,
+                         std::size_t& i, ScenarioOptions& options);
 
 /// A parsed scenario, ready to run.  Parsing and execution are split so
 /// tests can inspect intermediate state and reuse a scenario.

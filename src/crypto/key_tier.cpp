@@ -5,16 +5,6 @@
 
 namespace identxx::crypto {
 
-AffinePoint KeyTierStore::to_point(const detail::PointId& id) noexcept {
-  AffinePoint p;
-  for (std::size_t i = 0; i < 4; ++i) {
-    p.x.w[i] = id[i];
-    p.y.w[i] = id[i + 4];
-  }
-  p.infinity = false;
-  return p;
-}
-
 std::size_t KeyTierStore::entry_bytes(const Entry& e) const noexcept {
   std::size_t total = 0;
   if (e.hot) total += hot_table_bytes();
@@ -69,7 +59,7 @@ void KeyTierStore::promote(Map::iterator it) {
   if (e.tier == KeyTier::kHot || (!wants_warm && !wants_hot)) return;
   if (e.tier == KeyTier::kWarm && !wants_hot) return;
 
-  const AffinePoint point = to_point(it->first);
+  const AffinePoint point = detail::point_from(it->first);
   if (wants_hot) {
     // Upgrading frees the warm table, so only the delta must fit.
     const std::size_t extra =
@@ -111,22 +101,40 @@ void KeyTierStore::promote(Map::iterator it) {
   e.lru_pos = lru_.begin();
 }
 
-void KeyTierStore::add(const AffinePoint& point) {
-  if (point.infinity) return;
-  const detail::PointId id = detail::point_id(point);
-  const auto [it, inserted] = keys_.try_emplace(id);
-  if (!inserted) return;
-  it->second.lru_pos = lru_.end();
+void KeyTierStore::seed(Map::iterator it) {
+  Entry& e = it->second;
+  e.lru_pos = lru_.end();
   // Eager hot build strictly into free budget: small deployments keep the
-  // PR3 register-then-verify fast path, fleet-scale ones start cold.
+  // register-then-verify fast path, fleet-scale ones start cold.
   if (bytes_ + hot_table_bytes() <= config_.table_budget_bytes) {
-    it->second.hot = std::make_shared<const FixedBaseTable>(point);
-    it->second.tier = KeyTier::kHot;
+    e.hot =
+        std::make_shared<const FixedBaseTable>(detail::point_from(it->first));
+    e.tier = KeyTier::kHot;
     bytes_ += hot_table_bytes();
     ++hot_count_;
     ++stats_.promotions;
-    lru_.push_front(id);
-    it->second.lru_pos = lru_.begin();
+    lru_.push_front(it->first);
+    e.lru_pos = lru_.begin();
+  }
+}
+
+bool KeyTierStore::add(const AffinePoint& point) {
+  if (point.infinity) return false;
+  const auto [it, inserted] = keys_.try_emplace(detail::point_id(point));
+  if (inserted) seed(it);
+  return inserted;
+}
+
+void KeyTierStore::reconfigure(const KeyTierConfig& config) {
+  config_ = config;
+  lru_.clear();
+  bytes_ = 0;
+  hot_count_ = 0;
+  warm_count_ = 0;
+  stats_ = {};
+  for (auto it = keys_.begin(); it != keys_.end(); ++it) {
+    it->second = Entry{};
+    seed(it);
   }
 }
 

@@ -74,9 +74,17 @@ class KeyTierStore {
     return sizeof(GlvTable);
   }
 
-  /// Track `point`.  Idempotent.  Builds an eager hot table only when it
-  /// fits in free budget — never evicts on behalf of a registration.
-  void add(const AffinePoint& point);
+  /// Track `point`; false if it is the identity or already tracked.
+  /// Builds an eager hot table only when it fits in free budget — never
+  /// evicts on behalf of a registration.
+  bool add(const AffinePoint& point);
+
+  /// Replace the budget and thresholds, keeping the key set: every table,
+  /// use count and stat restarts, and eager hot tables are re-seeded in
+  /// key-map order — what add() would do for each key into a fresh store.
+  /// The map itself is kept, so its order does not depend on how many
+  /// times the store was reconfigured.
+  void reconfigure(const KeyTierConfig& config);
 
   /// Forget `point` and free its tables.
   void remove(const AffinePoint& point);
@@ -108,9 +116,6 @@ class KeyTierStore {
   };
   using Map = std::unordered_map<detail::PointId, Entry, detail::PointIdHash>;
 
-  /// The key's coordinates are the map key itself; rebuild the point.
-  [[nodiscard]] static AffinePoint to_point(const detail::PointId& id) noexcept;
-
   [[nodiscard]] std::size_t entry_bytes(const Entry& e) const noexcept;
   void touch_lru(Map::iterator it);
   void drop_tables(Map::iterator it);
@@ -118,6 +123,9 @@ class KeyTierStore {
   /// bytes fit.  Returns false (leaving the budget as-is) if impossible.
   bool reclaim(std::size_t needed, const detail::PointId& keep);
   void promote(Map::iterator it);
+  /// Eager hot build for a key with a fresh Entry, strictly into free
+  /// budget (add, reconfigure).
+  void seed(Map::iterator it);
 
   KeyTierConfig config_;
   Map keys_;

@@ -17,7 +17,6 @@
 //
 // Signatures serialize to 96 bytes (192 hex chars); public keys to 64 bytes.
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -35,23 +34,6 @@ struct PublicKey {
   [[nodiscard]] std::string to_hex() const;
   [[nodiscard]] static std::optional<PublicKey> from_hex(std::string_view hex);
   [[nodiscard]] bool operator==(const PublicKey&) const noexcept = default;
-};
-
-/// A public key with its fixed-base comb table built eagerly.  Verifying
-/// against it does no doubling chain at all (DESIGN.md §9) — build one per
-/// long-lived key (daemon/vendor keys) at registration time.  Copies share
-/// the table.
-class PrecomputedPublicKey {
- public:
-  explicit PrecomputedPublicKey(const PublicKey& key)
-      : key_(key), table_(std::make_shared<FixedBaseTable>(key.point)) {}
-
-  [[nodiscard]] const PublicKey& key() const noexcept { return key_; }
-  [[nodiscard]] const FixedBaseTable& table() const noexcept { return *table_; }
-
- private:
-  PublicKey key_;
-  std::shared_ptr<const FixedBaseTable> table_;
 };
 
 struct Signature {
@@ -97,36 +79,22 @@ class PrivateKey {
 ///
 /// The check s*G == R + e*P runs as one fused pass computing
 /// s*G + (n-e)*P and comparing against R projectively (no field
-/// inversion).  Keys seen repeatedly are promoted into a small process-wide
-/// table cache, so steady-state verification per long-lived key costs only
-/// comb additions; use PrecomputedPublicKey to build the table explicitly
-/// (and to bypass the shared cache).
+/// inversion).  Stateless: every call runs the per-call GLV path and
+/// keeps nothing between calls.  Long-lived keys get their acceleration
+/// tables by registering with a SchnorrVerifier, whose KeyTierStore is the
+/// only holder of per-key verification state (DESIGN.md §9, §15).
 [[nodiscard]] bool verify(const PublicKey& key, std::string_view message,
                           const Signature& sig) noexcept;
 [[nodiscard]] bool verify(const PublicKey& key,
                           std::span<const std::uint8_t> message,
                           const Signature& sig) noexcept;
-[[nodiscard]] bool verify(const PrecomputedPublicKey& key,
-                          std::string_view message,
-                          const Signature& sig) noexcept;
-[[nodiscard]] bool verify(const PrecomputedPublicKey& key,
-                          std::span<const std::uint8_t> message,
-                          const Signature& sig) noexcept;
 
-/// Tier-aware verify: same check as above, but the caller supplies whatever
-/// acceleration structure it holds for `key` (both may be null).  Preference
-/// order: hot comb table, warm GLV odd-multiples table, per-call GLV.
-/// Bypasses the process-wide table cache — used by SchnorrVerifier, whose
-/// KeyTierStore owns the tables.
-[[nodiscard]] bool verify_tiered(const PublicKey& key,
-                                 const FixedBaseTable* hot,
-                                 const GlvTable* warm,
-                                 std::span<const std::uint8_t> message,
-                                 const Signature& sig) noexcept;
-
-/// Same, with the challenge already computed: callers that need e anyway
-/// (the memo keys on it; batch verification folds z_i * e_i) pass it in so
-/// the message is hashed exactly once per verification.
+/// Tier-aware verify with the challenge e = schnorr_challenge(R, P, m)
+/// already computed: the caller supplies whatever acceleration structure
+/// it holds for `key` (both may be null).  Preference order: hot comb
+/// table, warm GLV odd-multiples table, per-call GLV.  Callers that need e
+/// anyway (the memo keys on it; batch verification folds z_i * e_i) pass
+/// it in so the message is hashed exactly once per verification.
 [[nodiscard]] bool verify_tiered(const PublicKey& key,
                                  const FixedBaseTable* hot,
                                  const GlvTable* warm, const U256& e,

@@ -24,16 +24,6 @@ void hash_u64(Sha256& h, std::uint64_t v) {
   h.update(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
 }
 
-AffinePoint point_from(const detail::PointId& id) noexcept {
-  AffinePoint p;
-  for (std::size_t i = 0; i < 4; ++i) {
-    p.x.w[i] = id[i];
-    p.y.w[i] = id[i + 4];
-  }
-  p.infinity = false;
-  return p;
-}
-
 }  // namespace
 
 /// A batch item that survived memo lookup and structural validation, with
@@ -51,25 +41,17 @@ void SchnorrVerifier::register_key(const PublicKey& key) {
   // A registered key is guaranteed on-curve: the batch intake relies on
   // this to skip the per-item curve check for registered principals.
   if (key.point.infinity || !key.point.on_curve()) return;
-  const detail::PointId id = detail::point_id(key.point);
-  if (registered_.contains(id)) return;
-  const std::uint64_t generation = ++generations_[id];
-  registered_.emplace(id, generation);
-  tiers_.add(key.point);
+  if (tiers_.add(key.point)) ++generations_[detail::point_id(key.point)];
 }
 
 void SchnorrVerifier::invalidate_key(const PublicKey& key) {
-  const detail::PointId id = detail::point_id(key.point);
-  registered_.erase(id);
-  ++generations_[id];  // old memo entries become unreachable
+  // Old memo entries become unreachable.
+  ++generations_[detail::point_id(key.point)];
   tiers_.remove(key.point);
 }
 
 void SchnorrVerifier::set_tier_config(const KeyTierConfig& config) {
-  tiers_ = KeyTierStore(config);
-  for (const auto& [id, generation] : registered_) {
-    tiers_.add(point_from(id));
-  }
+  tiers_.reconfigure(config);
 }
 
 SchnorrVerifier::MemoKey SchnorrVerifier::memo_key_for(
@@ -83,6 +65,16 @@ SchnorrVerifier::MemoKey SchnorrVerifier::memo_key_for(
   k.s = sig.s;
   k.e = e;
   return k;
+}
+
+void SchnorrVerifier::count_tier(const KeyTierStore::Tables& tables) noexcept {
+  if (tables.hot) {
+    ++stats_.table_verifications;
+  } else if (tables.warm) {
+    ++stats_.warm_verifications;
+  } else {
+    ++stats_.cold_verifications;
+  }
 }
 
 void SchnorrVerifier::memo_store(const MemoKey& memo_key, bool ok) {
@@ -151,23 +143,13 @@ bool SchnorrVerifier::verify(const PublicKey& key,
   }
   ++stats_.memo_misses;
 
-  bool ok = false;
-  if (registered_.contains(id)) {
-    const KeyTierStore::Tables tables = tiers_.use(key.point);
-    if (tables.hot) {
-      ++stats_.table_verifications;
-    } else if (tables.warm) {
-      ++stats_.warm_verifications;
-    } else {
-      ++stats_.cold_verifications;
-    }
-    ok = verify_tiered(key, tables.hot.get(), tables.warm.get(), e, sig);
-  } else {
-    // Unregistered keys keep the process-wide table cache of plain
-    // verify() (repeat keys promote), at the cost of re-hashing.
-    ok = crypto::verify(key, message, sig);
+  KeyTierStore::Tables tables;  // unregistered keys run tableless
+  if (tiers_.contains(key.point)) {
+    tables = tiers_.use(key.point);
+    count_tier(tables);
   }
-
+  const bool ok =
+      verify_tiered(key, tables.hot.get(), tables.warm.get(), e, sig);
   memo_store(memo_key, ok);
   return ok;
 }
@@ -205,7 +187,7 @@ bool SchnorrVerifier::batch_check(
     } else if (t != tables.end() && t->second.warm) {
       msm.add_glv(*t->second.warm, scalar);
     } else {
-      msm.add_glv(point_from(id), scalar);
+      msm.add_glv(detail::point_from(id), scalar);
     }
   }
   return msm.result().is_identity();
@@ -285,7 +267,7 @@ std::vector<bool> SchnorrVerifier::verify_batch(
     // them; the verdict is memoized like any other.  register_key
     // guarantees registered keys are on-curve, so only unregistered keys
     // pay the curve check here.
-    const bool registered = registered_.contains(id);
+    const bool registered = tiers_.contains(item.key.point);
     if ((!registered &&
          (item.key.point.infinity || !item.key.point.on_curve())) ||
         !signature_well_formed(item.sig)) {
@@ -347,7 +329,7 @@ std::vector<bool> SchnorrVerifier::verify_batch(
       tables;
   tables.reserve(multiplicity.size());
   for (const auto& [id, uses] : multiplicity) {
-    tables.emplace(id, tiers_.use(point_from(id), uses));
+    tables.emplace(id, tiers_.use(detail::point_from(id), uses));
   }
 
   if (pending.size() == 1) {
@@ -357,13 +339,7 @@ std::vector<bool> SchnorrVerifier::verify_batch(
     const FixedBaseTable* hot =
         t != tables.end() ? t->second.hot.get() : nullptr;
     const GlvTable* warm = t != tables.end() ? t->second.warm.get() : nullptr;
-    if (hot) {
-      ++stats_.table_verifications;
-    } else if (warm) {
-      ++stats_.warm_verifications;
-    } else if (t != tables.end()) {
-      ++stats_.cold_verifications;
-    }
+    if (t != tables.end()) count_tier(t->second);
     const bool ok = verify_tiered(p.item->key, hot, warm, p.e, p.item->sig);
     results[p.index] = ok;
     memo_store(p.memo_key, ok);

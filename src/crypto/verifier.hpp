@@ -7,7 +7,7 @@
 // and the same attestation recurs constantly: retransmitted responses,
 // several flows from one application inside a decide_many batch, repeat
 // packet-ins for an undecided flow.  This wrapper adds three layers on top
-// of crypto::verify (DESIGN.md §9, §15):
+// of the stateless crypto::verify (DESIGN.md §9, §15):
 //
 //   * a tiered key registry — register_key() tracks a long-lived public key
 //     in a memory-budgeted KeyTierStore.  Hot keys hold a full comb table,
@@ -87,8 +87,9 @@ class SchnorrVerifier {
   /// change / revocation).  A later register_key starts a new generation.
   void invalidate_key(const PublicKey& key);
 
-  /// Replace the tier budget/thresholds.  Existing registered keys are
-  /// re-seeded into a fresh store (tables rebuild on demand).
+  /// Replace the tier budget/thresholds.  Registered keys stay registered;
+  /// their tables are re-seeded (KeyTierStore::reconfigure) and otherwise
+  /// rebuild on demand.
   void set_tier_config(const KeyTierConfig& config);
 
   [[nodiscard]] bool verify(const PublicKey& key, std::string_view message,
@@ -107,7 +108,7 @@ class SchnorrVerifier {
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t registered_key_count() const noexcept {
-    return registered_.size();
+    return tiers_.key_count();
   }
   [[nodiscard]] std::size_t memo_size() const noexcept { return memo_.size(); }
   [[nodiscard]] std::size_t memo_capacity() const noexcept {
@@ -152,6 +153,8 @@ class SchnorrVerifier {
   [[nodiscard]] MemoKey memo_key_for(const detail::PointId& id,
                                      const Signature& sig,
                                      const U256& e) const;
+  /// Count a registered key's verification under its current tier.
+  void count_tier(const KeyTierStore::Tables& tables) noexcept;
   void memo_store(const MemoKey& memo_key, bool ok);
   /// Memoize `ok` for pending[a, b) in order.  Skips the prefix whose
   /// entries this loop's own LRU evictions would erase before returning.
@@ -171,14 +174,11 @@ class SchnorrVerifier {
   std::size_t memo_capacity_;
   Order order_;  ///< front = most recently used
   std::unordered_map<MemoKey, Order::iterator, MemoKeyHash> memo_;
-  /// Registered keys -> the generation they were registered under.  Tables
-  /// live in the tier store.
-  std::unordered_map<detail::PointId, std::uint64_t, detail::PointIdHash>
-      registered_;
   /// Per-key memo generation; bumped by invalidate_key/re-register so old
   /// entries can never match again.
   std::unordered_map<detail::PointId, std::uint64_t, detail::PointIdHash>
       generations_;
+  /// The registered key set and every per-key table.
   KeyTierStore tiers_;
   Stats stats_;
 };

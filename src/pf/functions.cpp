@@ -180,29 +180,41 @@ bool fn_allowed(const EvalContext& ctx, const FuncCall& call,
   }
 }
 
-/// verify(sig, pubkey, data...): Schnorr verification; the message is the
-/// data values joined with '\n' (matching proto::signed_message).  Runs
-/// through `verifier` when provided, so repeat attestations hit the
-/// verification memo and registered keys use their precomputed tables.
-bool fn_verify(crypto::SchnorrVerifier* verifier, const FuncCall& call,
-               const std::vector<Value>& args) {
-  require_min_arity(call, 3);
+/// A verify(sig, pubkey, data...) call's arguments, parsed: the message is
+/// the data values joined with '\n' (matching proto::signed_message).
+struct VerifyArgs {
+  crypto::Signature sig;
+  crypto::PublicKey key;
+  std::string message;
+};
+
+/// Parse a verify() call's argument values (at least three); nullopt when
+/// any of them is not a string, or the signature or key is malformed.
+std::optional<VerifyArgs> parse_verify_args(const std::vector<Value>& args) {
   const auto sig_hex = value_to_string(args[0]);
   const auto key_hex = value_to_string(args[1]);
-  if (!sig_hex || !key_hex) return false;
+  if (!sig_hex || !key_hex) return std::nullopt;
   const auto sig = crypto::Signature::from_hex(*sig_hex);
   const auto key = crypto::PublicKey::from_hex(*key_hex);
-  if (!sig || !key) return false;
+  if (!sig || !key) return std::nullopt;
   std::vector<std::string> data;
   data.reserve(args.size() - 2);
   for (std::size_t i = 2; i < args.size(); ++i) {
     const auto piece = value_to_string(args[i]);
-    if (!piece) return false;
+    if (!piece) return std::nullopt;
     data.push_back(*piece);
   }
-  const std::string message = proto::signed_message(data);
-  if (verifier != nullptr) return verifier->verify(*key, message, *sig);
-  return crypto::verify(*key, message, *sig);
+  return VerifyArgs{*sig, *key, proto::signed_message(data)};
+}
+
+/// verify(sig, pubkey, data...): Schnorr verification through the
+/// registry's verifier, so repeat attestations hit the verification memo
+/// and registered keys use their tier tables.
+bool fn_verify(crypto::SchnorrVerifier& verifier, const FuncCall& call,
+               const std::vector<Value>& args) {
+  require_min_arity(call, 3);
+  const auto parsed = parse_verify_args(args);
+  return parsed && verifier.verify(parsed->key, parsed->message, parsed->sig);
 }
 
 }  // namespace
@@ -245,7 +257,7 @@ FunctionRegistry FunctionRegistry::with_builtins() {
       "verify",
       [verifier = registry.verifier_](const EvalContext&, const FuncCall& call,
                                       const std::vector<Value>& args) {
-        return fn_verify(verifier.get(), call, args);
+        return fn_verify(*verifier, call, args);
       },
       /*flow_invariant=*/true);
   // Batch warm-up: every reachable verify() call in a decide_many batch is
@@ -262,29 +274,16 @@ FunctionRegistry FunctionRegistry::with_builtins() {
         std::unordered_set<std::string> seen;
         for (const std::vector<Value>& args : calls) {
           if (args.size() < 3) continue;
-          const auto sig_hex = value_to_string(args[0]);
-          const auto key_hex = value_to_string(args[1]);
-          if (!sig_hex || !key_hex) continue;
-          const auto sig = crypto::Signature::from_hex(*sig_hex);
-          const auto key = crypto::PublicKey::from_hex(*key_hex);
-          if (!sig || !key) continue;
-          std::vector<std::string> data;
-          data.reserve(args.size() - 2);
-          bool ok = true;
-          for (std::size_t i = 2; i < args.size(); ++i) {
-            const auto piece = value_to_string(args[i]);
-            if (!piece) {
-              ok = false;
-              break;
-            }
-            data.push_back(*piece);
+          auto parsed = parse_verify_args(args);
+          if (!parsed) continue;
+          if (!seen.insert(parsed->sig.to_hex() + parsed->key.to_hex() +
+                           parsed->message)
+                   .second) {
+            continue;
           }
-          if (!ok) continue;
-          std::string message = proto::signed_message(data);
-          if (!seen.insert(*sig_hex + *key_hex + message).second) continue;
-          messages.push_back(std::move(message));
+          messages.push_back(std::move(parsed->message));
           items.push_back(crypto::SchnorrVerifier::BatchItem{
-              *key, messages.back(), *sig});
+              parsed->key, messages.back(), parsed->sig});
         }
         // A single fresh attestation gains nothing from aggregation; the
         // per-flow path will verify it (and memo hits cost nothing here).

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "controller/admission.hpp"
 #include "controller/admission_controller.hpp"
 #include "core/network.hpp"
@@ -141,8 +143,14 @@ TEST(PipelineComposition, FakeStagesDriveAdmission) {
 
 // ---------------------------------------------------------------- caches
 
-TEST(TtlDecisionCacheTest, ExpiryAndHitAccounting) {
-  ctrl::TtlDecisionCache cache(100);  // 100 ns TTL
+// A TTL-only cache: what the pipeline builds from a ControllerConfig that
+// sets decision_cache_ttl without decision_cache_capacity.
+ctrl::DecisionCache ttl_only_cache(sim::SimTime ttl) {
+  return ctrl::DecisionCache(std::numeric_limits<std::size_t>::max(), ttl);
+}
+
+TEST(DecisionCacheTest, TtlOnlyExpiryAndHitAccounting) {
+  ctrl::DecisionCache cache = ttl_only_cache(100);  // 100 ns TTL
   const net::FiveTuple flow = make_flow(1, 2, 80);
   ctrl::AdmissionDecision decision;
   decision.allowed = true;
@@ -162,12 +170,12 @@ TEST(TtlDecisionCacheTest, ExpiryAndHitAccounting) {
   EXPECT_EQ(cache.stats().expirations, 1u);
 }
 
-TEST(TtlDecisionCacheTest, ZeroTtlMeansNeverExpire) {
+TEST(DecisionCacheTest, TtlOnlyZeroTtlMeansNeverExpire) {
   // ttl = 0 used to stamp entries with expires == now, so every lookup
   // expired them instantly — a silent bypass that still counted
-  // insertions.  The contract (matching LruDecisionCache) is: 0 = entries
-  // never age out; only invalidation removes them.
-  ctrl::TtlDecisionCache cache(0);
+  // insertions.  The contract is: 0 = entries never age out; without a
+  // capacity bound only invalidation removes them.
+  ctrl::DecisionCache cache = ttl_only_cache(0);
   const net::FiveTuple flow = make_flow(1, 2, 80);
   ctrl::AdmissionDecision decision;
   decision.allowed = true;
@@ -184,9 +192,9 @@ TEST(TtlDecisionCacheTest, ZeroTtlMeansNeverExpire) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(LruDecisionCacheTest, ZeroTtlNeverExpiresOnlyEvicts) {
+TEST(DecisionCacheTest, ZeroTtlNeverExpiresOnlyEvicts) {
   // The companion config: capacity with ttl = 0 is a pure LRU bound.
-  ctrl::LruDecisionCache cache(2, 0);
+  ctrl::DecisionCache cache(2, 0);
   ctrl::AdmissionDecision decision;
   const net::FiveTuple a = make_flow(1, 9, 80);
   cache.store(a, decision, 0);
@@ -194,8 +202,8 @@ TEST(LruDecisionCacheTest, ZeroTtlNeverExpiresOnlyEvicts) {
   EXPECT_EQ(cache.stats().expirations, 0u);
 }
 
-TEST(LruDecisionCacheTest, EvictsLeastRecentlyUsed) {
-  ctrl::LruDecisionCache cache(2, 0);  // capacity 2, no TTL
+TEST(DecisionCacheTest, EvictsLeastRecentlyUsed) {
+  ctrl::DecisionCache cache(2, 0);  // capacity 2, no TTL
   ctrl::AdmissionDecision decision;
   const net::FiveTuple a = make_flow(1, 9, 80);
   const net::FiveTuple b = make_flow(2, 9, 80);
@@ -212,8 +220,8 @@ TEST(LruDecisionCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(LruDecisionCacheTest, TtlAndInvalidation) {
-  ctrl::LruDecisionCache cache(8, 100);
+TEST(DecisionCacheTest, TtlAndInvalidation) {
+  ctrl::DecisionCache cache(8, 100);
   ctrl::AdmissionDecision decision;
   const net::FiveTuple a = make_flow(1, 9, 80);
   const net::FiveTuple b = make_flow(2, 9, 80);
@@ -395,8 +403,8 @@ TEST(RevocationCacheInteraction, CapacityAloneEnablesLruCache) {
   config.install_full_path = false;
   auto& controller = net.install_controller("pass all\n", config);
   ASSERT_NE(controller.decision_cache(), nullptr);
-  EXPECT_NE(dynamic_cast<ctrl::LruDecisionCache*>(controller.decision_cache()),
-            nullptr);
+  EXPECT_EQ(controller.decision_cache()->capacity(), 64u);
+  EXPECT_EQ(controller.decision_cache()->ttl(), 0);
 
   client.add_user("u", "users");
   const int pid = client.launch("u", "/bin/x");
@@ -412,6 +420,39 @@ TEST(RevocationCacheInteraction, CapacityAloneEnablesLruCache) {
   net.run();
   EXPECT_GE(controller.stats().decision_cache_hits, 1u);
   EXPECT_EQ(controller.stats().queries_sent, queries_before);
+}
+
+TEST(RevocationCacheInteraction, TtlAloneBuildsUnboundedCache) {
+  // decision_cache_ttl without a capacity: one DecisionCache with no
+  // practical bound, whose entries expire after the TTL.
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& client = net.add_host("client", "10.0.0.1");
+  auto& server = net.add_host("server", "10.0.0.2");
+  net.link(client, s1);
+  net.link(server, s1);
+  ctrl::ControllerConfig config;
+  config.decision_cache_ttl = 60 * sim::kSecond;  // capacity stays 0
+  config.install_full_path = false;
+  auto& controller = net.install_controller("pass all\n", config);
+  ASSERT_NE(controller.decision_cache(), nullptr);
+  EXPECT_EQ(controller.decision_cache()->capacity(),
+            std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(controller.decision_cache()->ttl(), 60 * sim::kSecond);
+
+  client.add_user("u", "users");
+  const int pid = client.launch("u", "/bin/x");
+  const FlowHandle h = net.start_flow(client, pid, "10.0.0.2", 80);
+  net.run();
+  ASSERT_TRUE(net.flow_delivered(h));
+  controller.topology().switch_at(s1).table().remove_if(
+      [](const openflow::FlowEntry& e) { return e.cookie != 0; });
+  const auto queries_before = controller.stats().queries_sent;
+  client.send_flow_packet(h.flow, "later", net::TcpFlags::kPsh);
+  net.run();
+  EXPECT_GE(controller.stats().decision_cache_hits, 1u);
+  EXPECT_EQ(controller.stats().queries_sent, queries_before);
+  EXPECT_EQ(controller.decision_cache()->stats().evictions, 0u);
 }
 
 TEST(RevocationCacheInteraction, PolicyReloadClearsCache) {

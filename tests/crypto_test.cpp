@@ -583,24 +583,6 @@ TEST(Schnorr, HashToScalarBelowOrder) {
   }
 }
 
-TEST(Schnorr, PrecomputedKeyAgreesWithPlainVerify) {
-  const PrivateKey key = PrivateKey::from_seed("precomp");
-  const PrecomputedPublicKey pre(key.public_key());
-  const Signature sig = key.sign("msg");
-  EXPECT_TRUE(verify(pre, "msg", sig));
-  EXPECT_FALSE(verify(pre, "msh", sig));
-  Signature bad = sig;
-  bad.s = add_mod(bad.s, U256{1}, Secp256k1::n());
-  EXPECT_FALSE(verify(pre, "msg", bad));
-  // Sweep: precomputed and plain verify agree on valid and invalid sigs.
-  for (int i = 0; i < 8; ++i) {
-    const std::string msg = "m" + std::to_string(i);
-    const Signature s = key.sign(msg);
-    EXPECT_TRUE(verify(pre, msg, s));
-    EXPECT_EQ(verify(pre, msg + "x", s), verify(key.public_key(), msg + "x", s));
-  }
-}
-
 // ------------------------------------------------- SchnorrVerifier
 
 TEST(SchnorrVerifier, MemoizesRepeatVerifications) {
@@ -622,6 +604,96 @@ TEST(SchnorrVerifier, MemoizesRepeatVerifications) {
   EXPECT_FALSE(verifier.verify(key.public_key(), "tampered", sig));
   EXPECT_FALSE(verifier.verify(key.public_key(), "tampered", sig));
   EXPECT_EQ(verifier.stats().memo_hits, 3u);
+}
+
+TEST(SchnorrVerifier, AgreesWithPlainVerifyOnEveryTier) {
+  // Plain verify() keeps no per-key state; SchnorrVerifier serves the same
+  // check from a hot comb table, a warm GLV table, no table (registered
+  // cold) or — for a key it never saw — the same per-call path.  Every
+  // kind of input gets the same verdict from all five.
+  const PrivateKey key = PrivateKey::from_seed("tier-agree");
+  const PublicKey& pub = key.public_key();
+  KeyTierConfig warm_only;
+  warm_only.table_budget_bytes = KeyTierStore::warm_table_bytes();
+  warm_only.warm_after = 1;
+  KeyTierConfig no_tables;
+  no_tables.table_budget_bytes = 0;
+  SchnorrVerifier hot;
+  SchnorrVerifier warm(SchnorrVerifier::kDefaultMemoCapacity, warm_only);
+  SchnorrVerifier cold(SchnorrVerifier::kDefaultMemoCapacity, no_tables);
+  SchnorrVerifier unregistered;
+  hot.register_key(pub);
+  warm.register_key(pub);
+  cold.register_key(pub);
+
+  const Signature good = key.sign("claim");
+  Signature zero_s = good;
+  zero_s.s = U256{};
+  Signature order_s = good;
+  order_s.s = Secp256k1::n();
+  Signature bumped_s = good;
+  bumped_s.s = add_mod(good.s, U256{1}, Secp256k1::n());
+  Signature off_curve_r = good;
+  off_curve_r.r.y = add_mod(good.r.y, U256{1}, Secp256k1::p());
+  Signature infinite_r = good;
+  infinite_r.r = AffinePoint{};
+  infinite_r.r.infinity = true;
+  struct Case {
+    const char* label;
+    std::string message;
+    Signature sig;
+    bool valid;
+  };
+  const std::vector<Case> cases = {
+      {"valid", "claim", good, true},
+      {"second valid", "claim-2", key.sign("claim-2"), true},
+      {"tampered message", "claim!", good, false},
+      {"wrong key", "claim",
+       PrivateKey::from_seed("tier-agree-other").sign("claim"), false},
+      {"s = 0", "claim", zero_s, false},
+      {"s = n", "claim", order_s, false},
+      {"s + 1", "claim", bumped_s, false},
+      {"R off curve", "claim", off_curve_r, false},
+      {"R at infinity", "claim", infinite_r, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    EXPECT_EQ(verify(pub, c.message, c.sig), c.valid);
+    for (SchnorrVerifier* v : {&hot, &warm, &cold, &unregistered}) {
+      EXPECT_EQ(v->verify(pub, c.message, c.sig), c.valid);
+    }
+  }
+  // Each verifier really ran the tier it was set up for.
+  EXPECT_EQ(hot.stats().table_verifications, cases.size());
+  EXPECT_EQ(warm.stats().warm_verifications, cases.size());
+  EXPECT_EQ(cold.stats().cold_verifications, cases.size());
+  const SchnorrVerifier::Stats& u = unregistered.stats();
+  EXPECT_EQ(u.memo_misses, cases.size());
+  EXPECT_EQ(u.table_verifications + u.warm_verifications +
+                u.cold_verifications,
+            0u);
+}
+
+TEST(SchnorrVerifier, UnregisteredKeysBuildNoTables) {
+  // A key sprayed at the verifier without registration must not earn
+  // tier state, however often it repeats: no key entry, no table bytes.
+  SchnorrVerifier verifier;
+  const PrivateKey registered = PrivateKey::from_seed("registered");
+  verifier.register_key(registered.public_key());
+  const std::size_t keys = verifier.tiers().key_count();
+  const std::size_t bytes = verifier.tiers().table_bytes();
+  ASSERT_EQ(keys, 1u);
+  ASSERT_EQ(bytes, KeyTierStore::hot_table_bytes());
+
+  const PrivateKey stranger = PrivateKey::from_seed("stranger");
+  for (const char* m : {"spray-1", "spray-2"}) {
+    EXPECT_TRUE(verifier.verify(stranger.public_key(), m, stranger.sign(m)));
+  }
+  EXPECT_EQ(verifier.stats().memo_misses, 2u);
+  EXPECT_EQ(verifier.tiers().key_count(), keys);
+  EXPECT_EQ(verifier.tiers().table_bytes(), bytes);
+  EXPECT_EQ(verifier.registered_key_count(), 1u);
+  EXPECT_FALSE(verifier.tiers().contains(stranger.public_key().point));
 }
 
 TEST(SchnorrVerifier, MemoIsBoundedLru) {
@@ -877,13 +949,61 @@ TEST(KeyTierStore, EagerHotOnlyWithinFreeBudget) {
   EXPECT_LE(store.table_bytes(), config.table_budget_bytes);
   EXPECT_EQ(store.stats().demotions, 0u);
   // add() is idempotent; remove() frees the table and forgets the key.
-  store.add(a);
+  EXPECT_FALSE(store.add(a));
   EXPECT_EQ(store.key_count(), 3u);
   store.remove(a);
   EXPECT_EQ(store.key_count(), 2u);
   EXPECT_EQ(store.hot_count(), 1u);
   EXPECT_EQ(store.table_bytes(), KeyTierStore::hot_table_bytes());
   EXPECT_FALSE(store.contains(a));
+}
+
+TEST(KeyTierStore, ReconfigureKeepsKeysAndReseedsEagerHot) {
+  util::SplitMix64 rng(181);
+  KeyTierConfig roomy;
+  roomy.warm_after = 1;
+  KeyTierStore store(roomy);
+  std::vector<AffinePoint> points;
+  for (int i = 0; i < 6; ++i) {
+    points.push_back(random_point(rng));
+    EXPECT_TRUE(store.add(points.back()));
+  }
+  EXPECT_EQ(store.hot_count(), 6u);
+  store.use(points[0], 50);
+
+  // A two-table budget: every table, count and stat restarts, and exactly
+  // two keys are re-seeded hot — the same two on every reconfigure.
+  KeyTierConfig tight;
+  tight.table_budget_bytes = 2 * KeyTierStore::hot_table_bytes();
+  const auto hot_set = [&] {
+    std::vector<bool> hot;
+    for (const AffinePoint& p : points) {
+      hot.push_back(store.peek(p).tier == KeyTier::kHot);
+    }
+    return hot;
+  };
+  store.reconfigure(tight);
+  EXPECT_EQ(store.key_count(), 6u);
+  EXPECT_EQ(store.hot_count(), 2u);
+  EXPECT_EQ(store.warm_count(), 0u);
+  EXPECT_EQ(store.table_bytes(), tight.table_budget_bytes);
+  EXPECT_EQ(store.stats().promotions, 2u);
+  EXPECT_EQ(store.stats().demotions, 0u);
+  EXPECT_EQ(store.config().table_budget_bytes, tight.table_budget_bytes);
+  const std::vector<bool> first = hot_set();
+  store.reconfigure(tight);
+  EXPECT_EQ(hot_set(), first);
+
+  // No budget: every key stays tracked, cold and tableless.
+  KeyTierConfig none;
+  none.table_budget_bytes = 0;
+  store.reconfigure(none);
+  EXPECT_EQ(store.key_count(), 6u);
+  EXPECT_EQ(store.table_bytes(), 0u);
+  for (const AffinePoint& p : points) {
+    EXPECT_TRUE(store.contains(p));
+    EXPECT_EQ(store.use(p).tier, KeyTier::kCold);
+  }
 }
 
 TEST(KeyTierStore, UseDrivenPromotionEvictsLeastRecentlyUsed) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "core/scenario.hpp"
 #include "util/error.hpp"
 
@@ -241,6 +244,66 @@ expect f2 blocked
 )")
                                       .run();
   EXPECT_TRUE(result.ok());
+}
+
+// ---------------------------------------------------------------- flags
+
+/// Feed `args` through parse_scenario_flag the way the tools do; returns
+/// the positional arguments it declined.
+std::vector<std::string_view> parse_flags(
+    const std::vector<std::string_view>& args, ScenarioOptions& options) {
+  std::vector<std::string_view> positional;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (!parse_scenario_flag(args, i, options)) positional.push_back(args[i]);
+  }
+  return positional;
+}
+
+TEST(ScenarioFlags, EverySharedFlagSetsItsOption) {
+  ScenarioOptions options;
+  const auto positional = parse_flags(
+      {"--shards", "4", "--seed", "77", "--src-only", "--traffic",
+       "cbr,packets=8", "--k-paths", "3", "--link-bw", "100",
+       "--queue-depth", "16", "--chan-loss", "0.25", "--chan-dup", "1",
+       "--chan-delay-us", "40", "--max-retries", "2", "--retry-jitter-us",
+       "5", "--degraded-ttl-us", "700", "--probe-delay-us", "9",
+       "file.scn"},
+      options);
+  EXPECT_EQ(positional, std::vector<std::string_view>{"file.scn"});
+  EXPECT_EQ(options.shards, 4u);
+  EXPECT_EQ(options.seed, 77u);
+  EXPECT_FALSE(options.config.query_both_ends);
+  EXPECT_EQ(options.traffic, "cbr,packets=8");
+  EXPECT_EQ(options.k_paths, 3u);
+  EXPECT_EQ(options.link_bandwidth_bps, 100'000'000u);
+  EXPECT_EQ(options.queue_depth, 16u);
+  EXPECT_DOUBLE_EQ(options.chan_loss, 0.25);
+  EXPECT_DOUBLE_EQ(options.chan_dup, 1.0);
+  EXPECT_EQ(options.chan_delay, 40 * sim::kMicrosecond);
+  EXPECT_EQ(options.config.max_query_retries, 2u);
+  EXPECT_EQ(options.config.retry_jitter, 5 * sim::kMicrosecond);
+  EXPECT_EQ(options.config.degraded_cover_ttl, 700 * sim::kMicrosecond);
+  EXPECT_EQ(options.config.readmission_probe_delay, 9 * sim::kMicrosecond);
+}
+
+TEST(ScenarioFlags, RejectsBadInput) {
+  const std::vector<std::vector<std::string_view>> bad = {
+      {"--k-paths"},                // missing value
+      {"--chan-delay-us"},          // missing value
+      {"--chan-loss", "1.5"},       // probability above 1
+      {"--chan-dup", "-0.1"},       // probability below 0
+      {"--chan-loss", "nan"},       // not a probability
+      {"--chan-loss", "0.5x"},      // trailing junk
+      {"--k-paths", "0"},           // at least one path
+      {"--shards", "two"},          // not a number
+      {"--bogus"},                  // unknown flag
+      {"--workers", "2"},           // a tool's own flag, not a shared one
+  };
+  for (const auto& args : bad) {
+    SCOPED_TRACE(std::string(args[0]));
+    ScenarioOptions options;
+    EXPECT_THROW((void)parse_flags(args, options), ParseError);
+  }
 }
 
 }  // namespace

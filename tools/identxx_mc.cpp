@@ -23,22 +23,22 @@
 //                                   modeled arrival order, not lane order
 //                  none           — (default) healthy build
 //
-// --src-only       query only the source daemon (config.query_both_ends =
-//                  false), keeping the admission path clear of data-plane
-//                  bottleneck links in congestion scenarios
-//
-// Congestion knobs mirror identxx_sim: --k-paths, --link-bw, --queue-depth,
-// --traffic.  Fault/robustness knobs (DESIGN.md §14) mirror identxx_sim
-// too: --chan-loss, --chan-dup, --chan-delay-us, --max-retries,
-// --retry-jitter-us, --degraded-ttl-us, --probe-delay-us — fault injection
-// draws on the global lane, so faulted runs must stay schedule-invariant.
+// Every other flag is shared with identxx_sim (core::parse_scenario_flag):
+// --src-only keeps the admission path clear of data-plane bottleneck links
+// in congestion scenarios; the congestion knobs (--k-paths, --link-bw,
+// --queue-depth, --traffic) and the fault/robustness knobs (DESIGN.md §14:
+// --chan-loss, --chan-dup, --chan-delay-us, --max-retries,
+// --retry-jitter-us, --degraded-ttl-us, --probe-delay-us) apply as there —
+// fault injection draws on the global lane, so faulted runs must stay
+// schedule-invariant.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "mc/explorer.hpp"
@@ -49,13 +49,11 @@ namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: identxx_mc [--shards N] [--mode exhaustive|dpor|random] "
-               "[--depth D] [--schedules B] [--random N] [--seed S] "
-               "[--fault skip_redecide|merge_arrival|none] [--src-only] "
-               "[--traffic MODEL] [--k-paths K] [--link-bw MBPS] "
-               "[--queue-depth PKTS] [--chan-loss P] [--chan-dup P] "
-               "[--chan-delay-us N] [--max-retries N] [--retry-jitter-us N] "
-               "[--degraded-ttl-us N] [--probe-delay-us N] <scenario-file>\n");
+               "usage: identxx_mc [--mode exhaustive|dpor|random] [--depth D] "
+               "[--schedules B] [--random N] "
+               "[--fault skip_redecide|merge_arrival|none] %s "
+               "<scenario-file>\n",
+               identxx::core::kScenarioFlagUsage);
 }
 
 }  // namespace
@@ -64,113 +62,65 @@ int main(int argc, char** argv) {
   identxx::mc::ExplorerOptions options;
   options.scenario.shards = 2;
   const char* path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const auto flag_value = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) != 0) return nullptr;
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(1);
+  const std::vector<std::string_view> args(argv + 1, argv + argc);
+  try {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string_view flag = args[i];
+      const auto flag_value =
+          [&](std::string_view name) -> std::optional<std::string_view> {
+        if (flag != name) return std::nullopt;
+        if (i + 1 >= args.size()) {
+          throw identxx::ParseError(std::string(flag) + ": missing value");
+        }
+        return args[++i];
+      };
+      const auto count = [&](std::string_view v, std::uint64_t min = 0) {
+        const auto n = identxx::util::parse_u64(v);
+        if (!n || *n < min) {
+          throw identxx::ParseError(std::string(flag) + ": bad value");
+        }
+        return *n;
+      };
+      if (const auto v = flag_value("--mode")) {
+        if (*v == "exhaustive") {
+          options.mode = identxx::mc::Mode::kExhaustive;
+        } else if (*v == "dpor") {
+          options.mode = identxx::mc::Mode::kDpor;
+        } else if (*v == "random") {
+          options.mode = identxx::mc::Mode::kRandom;
+        } else {
+          throw identxx::ParseError(std::string(flag) + ": bad value");
+        }
+      } else if (const auto v = flag_value("--depth")) {
+        options.max_depth = static_cast<std::uint32_t>(count(*v));
+      } else if (const auto v = flag_value("--schedules")) {
+        options.max_schedules = count(*v, 1);
+      } else if (const auto v = flag_value("--random")) {
+        options.random_schedules = count(*v);
+      } else if (const auto v = flag_value("--seed")) {
+        // Seeds random-mode sampling as well as the scenario.
+        options.seed = count(*v);
+        options.scenario.seed = options.seed;
+      } else if (const auto v = flag_value("--fault")) {
+        if (*v == "skip_redecide") {
+          options.scenario.config.fault_skip_epoch_redecide = true;
+        } else if (*v == "merge_arrival") {
+          options.scenario.fault_merge_arrival_order = true;
+        } else if (*v != "none") {
+          throw identxx::ParseError(std::string(flag) + ": bad value");
+        }
+      } else if (!identxx::core::parse_scenario_flag(args, i,
+                                                     options.scenario)) {
+        path = args[i].data();  // argv strings are NUL-terminated
       }
-      return argv[++i];
-    };
-    if (const char* v = flag_value("--shards")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n || *n == 0) { usage(); return 1; }
-      options.scenario.shards = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--mode")) {
-      if (std::strcmp(v, "exhaustive") == 0) {
-        options.mode = identxx::mc::Mode::kExhaustive;
-      } else if (std::strcmp(v, "dpor") == 0) {
-        options.mode = identxx::mc::Mode::kDpor;
-      } else if (std::strcmp(v, "random") == 0) {
-        options.mode = identxx::mc::Mode::kRandom;
-      } else {
-        usage();
-        return 1;
-      }
-    } else if (const char* v = flag_value("--depth")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.max_depth = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--schedules")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n || *n == 0) { usage(); return 1; }
-      options.max_schedules = *n;
-    } else if (const char* v = flag_value("--random")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.random_schedules = *n;
-    } else if (const char* v = flag_value("--seed")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.seed = *n;
-      options.scenario.seed = *n;
-    } else if (const char* v = flag_value("--fault")) {
-      if (std::strcmp(v, "skip_redecide") == 0) {
-        options.scenario.config.fault_skip_epoch_redecide = true;
-      } else if (std::strcmp(v, "merge_arrival") == 0) {
-        options.scenario.fault_merge_arrival_order = true;
-      } else if (std::strcmp(v, "none") != 0) {
-        usage();
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--src-only") == 0) {
-      options.scenario.config.query_both_ends = false;
-    } else if (const char* v = flag_value("--traffic")) {
-      options.scenario.traffic = v;
-    } else if (const char* v = flag_value("--k-paths")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n || *n == 0) { usage(); return 1; }
-      options.scenario.k_paths = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--link-bw")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.link_bandwidth_bps = *n * 1'000'000ULL;
-    } else if (const char* v = flag_value("--queue-depth")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.queue_depth = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--chan-loss")) {
-      char* end = nullptr;
-      options.scenario.chan_loss = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.scenario.chan_loss < 0.0 ||
-          options.scenario.chan_loss > 1.0) { usage(); return 1; }
-    } else if (const char* v = flag_value("--chan-dup")) {
-      char* end = nullptr;
-      options.scenario.chan_dup = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.scenario.chan_dup < 0.0 ||
-          options.scenario.chan_dup > 1.0) { usage(); return 1; }
-    } else if (const char* v = flag_value("--chan-delay-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.chan_delay =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--max-retries")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.config.max_query_retries =
-          static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--retry-jitter-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.config.retry_jitter =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--degraded-ttl-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.config.degraded_cover_ttl =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--probe-delay-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.config.readmission_probe_delay =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (argv[i][0] == '-') {
-      usage();
-      return 1;
-    } else {
-      path = argv[i];
     }
+    if (options.scenario.shards == 0) {
+      throw identxx::ParseError("--shards: must be >= 1");
+    }
+  } catch (const identxx::ParseError& e) {
+    std::fprintf(stderr, "identxx_mc: %s\n", e.what());
+    usage();
+    return 1;
   }
   if (path == nullptr) {
     usage();

@@ -13,33 +13,20 @@
 //              at any worker count; use 0 for all hardware threads).
 // --seed S     deterministic RNG seed (overrides the file's `seed` line).
 //
-// Congestion knobs (DESIGN.md §12) — the defaults reproduce the idealized
-// single-path/unbounded-queue behaviour exactly:
-//
-// --src-only       query only the source daemon (the §6 src-only ablation;
-//                  config.query_both_ends = false)
-// --traffic M      override every flow's traffic model, e.g.
-//                  "cbr,packets=64,rate=20000" or "aimd,packets=64"
-// --k-paths K      equal-cost paths per (src,dst) pair (seeded ECMP)
-// --link-bw MBPS   override every link's bandwidth (0 = declarations)
-// --queue-depth P  bounded per-port switch output queues, in packets
-//
-// Fault / robustness knobs (DESIGN.md §14) — channel overrides replace the
-// scenario's `fault chan` directives; retry knobs override `fault retry`:
-//
-// --chan-loss P        control-channel loss probability on every switch
-// --chan-dup P         control-channel duplication probability
-// --chan-delay-us N    max per-message control-channel delay (drawn 0..N)
-// --max-retries N      re-query budget before the timeout decision
-// --retry-jitter-us N  seeded jitter bound on retry deadlines
-// --degraded-ttl-us N  fail-closed degraded-cover TTL (0 = no degradation)
-// --probe-delay-us N   delay before a degraded flow's re-admission probe
+// Every other flag is a congestion knob (DESIGN.md §12: --src-only,
+// --traffic, --k-paths, --link-bw, --queue-depth) or a fault/robustness
+// knob (DESIGN.md §14: --chan-loss, --chan-dup, --chan-delay-us,
+// --max-retries, --retry-jitter-us, --degraded-ttl-us, --probe-delay-us),
+// shared with identxx_mc and documented at core::parse_scenario_flag.
+// The defaults reproduce the idealized single-path, unbounded-queue,
+// fault-free behaviour exactly; channel overrides replace the scenario's
+// `fault chan` directives and retry knobs override `fault retry`.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "sim/worker_pool.hpp"
@@ -49,12 +36,8 @@
 namespace {
 
 void usage() {
-  std::fprintf(stderr,
-               "usage: identxx_sim [--shards N] [--workers N] [--seed S] "
-               "[--src-only] [--traffic MODEL] [--k-paths K] [--link-bw MBPS] "
-               "[--queue-depth PKTS] [--chan-loss P] [--chan-dup P] "
-               "[--chan-delay-us N] [--max-retries N] [--retry-jitter-us N] "
-               "[--degraded-ttl-us N] [--probe-delay-us N] <scenario-file>\n");
+  std::fprintf(stderr, "usage: identxx_sim [--workers N] %s <scenario-file>\n",
+               identxx::core::kScenarioFlagUsage);
 }
 
 }  // namespace
@@ -62,85 +45,25 @@ void usage() {
 int main(int argc, char** argv) {
   identxx::core::ScenarioOptions options;
   const char* path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const auto flag_value = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) != 0) return nullptr;
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(1);
+  const std::vector<std::string_view> args(argv + 1, argv + argc);
+  try {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      if (args[i] == "--workers") {
+        const auto n = i + 1 < args.size()
+                           ? identxx::util::parse_u64(args[++i])
+                           : std::nullopt;
+        if (!n) throw identxx::ParseError("--workers: bad value");
+        options.workers = *n == 0
+                              ? identxx::sim::WorkerPool::hardware_workers()
+                              : static_cast<std::uint32_t>(*n);
+      } else if (!identxx::core::parse_scenario_flag(args, i, options)) {
+        path = args[i].data();  // argv strings are NUL-terminated
       }
-      return argv[++i];
-    };
-    if (const char* v = flag_value("--shards")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.shards = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--workers")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.workers = *n == 0
-                            ? identxx::sim::WorkerPool::hardware_workers()
-                            : static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--seed")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.seed = *n;
-    } else if (std::strcmp(argv[i], "--src-only") == 0) {
-      options.config.query_both_ends = false;
-    } else if (const char* v = flag_value("--traffic")) {
-      options.traffic = v;
-    } else if (const char* v = flag_value("--k-paths")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n || *n == 0) { usage(); return 1; }
-      options.k_paths = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--link-bw")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.link_bandwidth_bps = *n * 1'000'000ULL;
-    } else if (const char* v = flag_value("--queue-depth")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.queue_depth = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--chan-loss")) {
-      char* end = nullptr;
-      options.chan_loss = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.chan_loss < 0.0 ||
-          options.chan_loss > 1.0) { usage(); return 1; }
-    } else if (const char* v = flag_value("--chan-dup")) {
-      char* end = nullptr;
-      options.chan_dup = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.chan_dup < 0.0 ||
-          options.chan_dup > 1.0) { usage(); return 1; }
-    } else if (const char* v = flag_value("--chan-delay-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.chan_delay =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--max-retries")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.config.max_query_retries = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--retry-jitter-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.config.retry_jitter =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--degraded-ttl-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.config.degraded_cover_ttl =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--probe-delay-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.config.readmission_probe_delay =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (argv[i][0] == '-') {
-      usage();
-      return 1;
-    } else {
-      path = argv[i];
     }
+  } catch (const identxx::ParseError& e) {
+    std::fprintf(stderr, "identxx_sim: %s\n", e.what());
+    usage();
+    return 1;
   }
   if (path == nullptr) {
     usage();

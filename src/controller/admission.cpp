@@ -629,11 +629,12 @@ std::vector<AdmissionDecision> PolicyDecisionEngine::decide_many(
   std::vector<AdmissionDecision> decisions;
   decisions.reserve(unique.size());
   bool batched = false;
-  if (batch_eval_) {
+  if (unique.size() >= 2) {
     // One evaluate_batch over the distinct flows: static prefilters probed
     // per 5-tuple, flow-invariant `with` predicates hoisted across the
     // batch (DESIGN.md §11).  Verdicts are bit-identical to the serial
-    // loop below.
+    // loop below, which alone decides a single distinct flow: a batch of
+    // one gains nothing and must cost what a decide() costs.
     std::vector<pf::FlowContext> flow_ctxs;
     flow_ctxs.reserve(unique.size());
     for (const AdmissionContext* ctx : unique) {

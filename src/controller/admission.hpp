@@ -19,8 +19,9 @@
 //                       and Ethane (the latter simply has no responses to
 //                       look at), ACL first-match for the vanilla firewall,
 //                       allow-everything for the distributed firewall.  The
-//                       batched decide_many() entry point amortizes policy
-//                       evaluation across simultaneous packet-ins.
+//                       controller reaches it only through the batched
+//                       decide_many(), which amortizes policy evaluation
+//                       across simultaneous packet-ins.
 //   DecisionCache     — optional LRU/TTL memo of verdicts so repeat
 //                       packet-ins skip the daemon round trip (§6 ablation).
 //   InstallStrategy   — turns a verdict into flow-table state: full-path vs
@@ -131,13 +132,6 @@ struct ControllerConfig {
   /// uses i + 1, so domains sharing switch tables revoke only their own
   /// entries.
   std::uint16_t cookie_namespace = 0;
-  /// Route decide_many() batches through the PF engine's batched entry
-  /// point (pf::PolicyEngine::evaluate_batch, DESIGN.md §11): static
-  /// prefilters probed per distinct 5-tuple plus cross-flow hoisting of
-  /// flow-invariant `with` predicates.  Verdicts are bit-identical either
-  /// way; the flag exists as the §6-style ablation and differential
-  /// oracle.  Only PolicyDecisionEngine consults it.
-  bool batch_policy_eval = true;
   /// Byte budget for the PF verifier's per-key acceleration tables
   /// (crypto::KeyTierConfig::table_budget_bytes): hot keys carry a ~69 KB
   /// comb table, warm keys a ~1.3 KB GLV table, cold keys verify through
@@ -414,8 +408,9 @@ class DecisionEngine {
 
   virtual AdmissionDecision decide(const AdmissionContext& ctx) = 0;
 
-  /// Batched decision entry point: contexts that became decidable at the
-  /// same instant (a packet-in storm hitting one query deadline) are
+  /// The controller's only entry point (AdmissionController::decide_ready):
+  /// contexts that became decidable at the same instant (one ready
+  /// response, or a packet-in storm hitting one query deadline) are
   /// decided together so engines can amortize evaluation — duplicate flows
   /// in one batch are evaluated once.  The default just loops decide().
   virtual std::vector<AdmissionDecision> decide_many(
@@ -436,18 +431,14 @@ class PolicyDecisionEngine : public DecisionEngine {
                        bool honor_keep_state = true);
 
   AdmissionDecision decide(const AdmissionContext& ctx) override;
-  /// Memoizes by 5-tuple within the batch, then decides the distinct flows
-  /// through one pf::PolicyEngine::evaluate_batch call (prefilter probing
-  /// + hoisted predicates, DESIGN.md §11) when batch evaluation is on;
-  /// otherwise loops decide().  On PolicyError the whole batch falls back
-  /// to the per-flow path so each flow fails closed independently.
+  /// Memoizes by 5-tuple within the batch, then decides two or more
+  /// distinct flows through one pf::PolicyEngine::evaluate_batch call
+  /// (prefilter probing + hoisted predicates, DESIGN.md §11).  A single
+  /// distinct flow goes to decide(), so it costs exactly a serial
+  /// decision.  On PolicyError the whole batch falls back to decide() per
+  /// flow so each flow fails closed independently.
   std::vector<AdmissionDecision> decide_many(
       const std::vector<const AdmissionContext*>& batch) override;
-
-  /// Toggle the batched PF path (ControllerConfig::batch_policy_eval is
-  /// applied here by AdmissionController).  Default on.
-  void set_batch_eval(bool enabled) noexcept { batch_eval_ = enabled; }
-  [[nodiscard]] bool batch_eval() const noexcept { return batch_eval_; }
 
   /// Cap the verifier's per-key acceleration-table memory
   /// (ControllerConfig::key_table_budget_bytes is applied here by
@@ -479,7 +470,6 @@ class PolicyDecisionEngine : public DecisionEngine {
 
   std::unique_ptr<pf::PolicyEngine> engine_;
   bool honor_keep_state_ = true;
-  bool batch_eval_ = true;
   /// Per-rule aggregation covers, computed once from the ruleset.
   std::vector<std::vector<openflow::FlowMatch>> covers_;
 };

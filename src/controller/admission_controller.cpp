@@ -96,14 +96,11 @@ void AdmissionController::add_observer(
 }
 
 void AdmissionController::apply_engine_config() {
-  // Engine-level knobs that live in the controller's config: the
-  // batched-PF-evaluation ablation toggle and the verifier's key-table
-  // memory budget.
+  // The engine-level knob that lives in the controller's config: the
+  // verifier's key-table memory budget.
+  if (config_.key_table_budget_bytes == 0) return;
   if (auto* policy = dynamic_cast<PolicyDecisionEngine*>(pipeline_.engine.get())) {
-    policy->set_batch_eval(config_.batch_policy_eval);
-    if (config_.key_table_budget_bytes > 0) {
-      policy->set_key_table_budget(config_.key_table_budget_bytes);
-    }
+    policy->set_key_table_budget(config_.key_table_budget_bytes);
   }
 }
 
@@ -304,7 +301,7 @@ void AdmissionController::handle_new_flow(const openflow::PacketIn& msg,
   }
 
   if (ResponseCollector::ready(*ctx)) {
-    decide_one(*ctx);
+    decide_ready({ctx});
     return;
   }
 
@@ -373,40 +370,7 @@ void AdmissionController::sweep_expired() {
 
   // Stage 3, batched: one decide_many over every flow that hit this
   // deadline tick.
-  if (config_.decision_lane == sim::kGlobalLane) {
-    std::vector<const AdmissionContext*> batch(expired.begin(), expired.end());
-    const std::vector<AdmissionDecision> decisions =
-        pipeline_.engine->decide_many(batch);
-    for (std::size_t i = 0; i < expired.size(); ++i) {
-      finalize(*expired[i], decisions[i]);
-    }
-    return;
-  }
-
-  // Sharded domain: evaluate the whole batch on the shard lane (in
-  // parallel with sibling domains' batches), commit on the global lane at
-  // the same virtual instant.
-  for (AdmissionContext* ctx : expired) ctx->decision_in_flight = true;
-  const std::uint64_t epoch = control_epoch_;
-  simulator().schedule_on(
-      config_.decision_lane, simulator().now(),
-      [this, expired = std::move(expired), epoch] {
-        // The batch verdicts are only valid for the dispatch-time epoch;
-        // the eval is a shard-lane read of it.
-        note_epoch_access(config_.cookie_namespace, /*write=*/false);
-        std::vector<const AdmissionContext*> batch(expired.begin(),
-                                                   expired.end());
-        std::vector<AdmissionDecision> decisions =
-            pipeline_.engine->decide_many(batch);
-        simulator().schedule_on(
-            sim::kGlobalLane, simulator().now(),
-            [this, expired, epoch,
-             decisions = std::move(decisions)]() mutable {
-              for (std::size_t i = 0; i < expired.size(); ++i) {
-                commit_decision(*expired[i], std::move(decisions[i]), epoch);
-              }
-            });
-      });
+  decide_ready(std::move(expired));
 }
 
 bool AdmissionController::retry_queries(AdmissionContext& ctx) {
@@ -506,54 +470,67 @@ std::size_t AdmissionController::remove_flow_entries(
   return removed;
 }
 
-void AdmissionController::maybe_decide(AdmissionContext& ctx) {
-  if (ResponseCollector::ready(ctx)) decide_one(ctx);
-}
-
-void AdmissionController::decide_one(AdmissionContext& ctx) {
-  if (ctx.decision_in_flight) return;
+void AdmissionController::decide_ready(std::vector<AdmissionContext*> batch) {
+  // A context already on a shard lane commits from there.
+  std::erase_if(batch, [](const AdmissionContext* ctx) {
+    return ctx->decision_in_flight;
+  });
+  if (batch.empty()) return;
   // Late proxy fill-in for sides that never answered.
-  const std::size_t proxied = pipeline_.collector->fill_proxies_at_decide(ctx);
-  for (std::size_t i = 0; i < proxied; ++i) {
-    notify([&](AdmissionObserver& o) { o.on_query_proxied(ctx.flow); });
+  for (AdmissionContext* ctx : batch) {
+    const std::size_t proxied =
+        pipeline_.collector->fill_proxies_at_decide(*ctx);
+    for (std::size_t i = 0; i < proxied; ++i) {
+      notify([&](AdmissionObserver& o) { o.on_query_proxied(ctx->flow); });
+    }
   }
   if (config_.decision_lane == sim::kGlobalLane) {
-    const AdmissionDecision decision = pipeline_.engine->decide(ctx);
-    finalize(ctx, decision);
+    const std::vector<AdmissionDecision> decisions =
+        pipeline_.engine->decide_many({batch.begin(), batch.end()});
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      finalize(*batch[i], decisions[i]);
+    }
     return;
   }
   // Sharded domain: the engine (shard-local policy engine, verifier and
-  // caches) runs on this domain's lane; the commit runs back on the
-  // global lane, same virtual instant, so sharding never changes
-  // simulated timings.
-  ctx.decision_in_flight = true;
+  // caches) evaluates the whole batch on this domain's lane, in parallel
+  // with sibling domains; the commit runs back on the global lane, same
+  // virtual instant, so sharding never changes simulated timings.
+  for (AdmissionContext* ctx : batch) ctx->decision_in_flight = true;
   const std::uint64_t epoch = control_epoch_;
   simulator().schedule_on(
-      config_.decision_lane, simulator().now(), [this, &ctx, epoch] {
+      config_.decision_lane, simulator().now(),
+      [this, batch = std::move(batch), epoch]() mutable {
+        // The verdicts are only valid for the dispatch-time epoch; the
+        // eval is a shard-lane read of it.
         note_epoch_access(config_.cookie_namespace, /*write=*/false);
-        AdmissionDecision decision = pipeline_.engine->decide(ctx);
+        std::vector<AdmissionDecision> decisions =
+            pipeline_.engine->decide_many({batch.begin(), batch.end()});
         simulator().schedule_on(
             sim::kGlobalLane, simulator().now(),
-            [this, &ctx, epoch, decision = std::move(decision)]() mutable {
-              commit_decision(ctx, std::move(decision), epoch);
+            [this, batch = std::move(batch), epoch,
+             decisions = std::move(decisions)]() mutable {
+              commit_decisions(batch, std::move(decisions), epoch);
             });
       });
 }
 
-void AdmissionController::commit_decision(AdmissionContext& ctx,
-                                          AdmissionDecision decision,
-                                          std::uint64_t dispatch_epoch) {
-  ctx.decision_in_flight = false;
+void AdmissionController::commit_decisions(
+    const std::vector<AdmissionContext*>& batch,
+    std::vector<AdmissionDecision> decisions, std::uint64_t dispatch_epoch) {
+  for (AdmissionContext* ctx : batch) ctx->decision_in_flight = false;
   note_epoch_access(config_.cookie_namespace, /*write=*/false);
   if (dispatch_epoch != control_epoch_ && !config_.fault_skip_epoch_redecide) {
     // A revocation or policy swap landed between dispatch and commit; the
-    // computed verdict may carry covers (or would cache a decision) from
-    // the replaced control state.  Re-decide under the current engine —
-    // shard lanes are quiescent while the global lane runs, so the inline
-    // re-decide cannot race a sibling domain.
-    decision = pipeline_.engine->decide(ctx);
+    // computed verdicts may carry covers (or would cache decisions) from
+    // the replaced control state.  Re-decide the batch under the current
+    // engine — shard lanes are quiescent while the global lane runs, so
+    // the inline re-decide cannot race a sibling domain.
+    decisions = pipeline_.engine->decide_many({batch.begin(), batch.end()});
   }
-  finalize(ctx, decision);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    finalize(*batch[i], decisions[i]);
+  }
 }
 
 void AdmissionController::finalize(AdmissionContext& ctx,

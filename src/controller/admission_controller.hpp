@@ -185,14 +185,13 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   void handle_new_flow(const openflow::PacketIn& msg,
                        const net::FiveTuple& flow);
 
-  /// Decide `ctx` now if both sides are ready.
-  void maybe_decide(AdmissionContext& ctx);
-
-  /// Run the decision stages for `ctx` and retire it.  With a shard
-  /// decision lane configured, evaluation is dispatched to that lane and
-  /// the verdict commits back on the global lane at the same virtual
-  /// instant (commit_decision).
-  void decide_one(AdmissionContext& ctx);
+  /// Stage 3 for a batch of decidable contexts (ready, or past their
+  /// deadline): fill late proxies, run one DecisionEngine::decide_many and
+  /// retire every context.  Contexts already in flight are skipped.  With
+  /// a shard decision lane configured, evaluation is dispatched to that
+  /// lane and the verdicts commit back on the global lane at the same
+  /// virtual instant (commit_decisions).  The only route to the engine.
+  void decide_ready(std::vector<AdmissionContext*> batch);
 
   template <typename Fn>
   void notify(Fn&& fn) {
@@ -204,14 +203,17 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   /// carry config.cookie_namespace) lets sharded domains share switch
   /// tables yet revoke only their own entries.
   [[nodiscard]] bool owns_cookie(std::uint64_t cookie) const noexcept;
-  /// Commit a shard-lane verdict on the global lane.  If a control-plane
-  /// change (revocation / policy swap) happened since dispatch, the stale
-  /// verdict is discarded and the flow re-decides under the current
-  /// engine — never a stale cover or cache entry.
-  void commit_decision(AdmissionContext& ctx, AdmissionDecision decision,
-                       std::uint64_t dispatch_epoch);
-  /// Push engine-level config knobs (batch_policy_eval) into the current
-  /// DecisionEngine; called at construction and after replace_engine.
+  /// Commit a batch of shard-lane verdicts on the global lane.  If a
+  /// control-plane change (revocation / policy swap) happened since
+  /// dispatch, the stale verdicts are discarded and the whole batch
+  /// re-decides under the current engine in one decide_many — never a
+  /// stale cover or cache entry.
+  void commit_decisions(const std::vector<AdmissionContext*>& batch,
+                        std::vector<AdmissionDecision> decisions,
+                        std::uint64_t dispatch_epoch);
+  /// Push engine-level config knobs (key_table_budget_bytes) into the
+  /// current DecisionEngine; called at construction and after
+  /// replace_engine.
   void apply_engine_config();
   /// Does any domain switch still hold an entry with this cookie?
   [[nodiscard]] bool cookie_live(std::uint64_t cookie) const;
@@ -271,7 +273,7 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   std::uint64_t next_cookie_ = 1;
   /// Bumped by revoke_all / revoke_if / replace_engine; shard-lane
   /// decisions dispatched under an older epoch are discarded at commit
-  /// and re-decided (commit_decision).
+  /// and re-decided (commit_decisions).
   std::uint64_t control_epoch_ = 0;
   sim::SimTime last_scheduled_sweep_ = -1;  ///< dedupes per-tick sweeps
   bool compromised_ = false;

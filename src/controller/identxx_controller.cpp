@@ -215,7 +215,7 @@ bool IdentxxController::try_consume_response(const openflow::PacketIn& msg,
   }
   recent_responses_.record(key, now);
   notify([&](AdmissionObserver& o) { o.on_response_received(responder); });
-  maybe_decide(*ctx);
+  if (ResponseCollector::ready(*ctx)) decide_ready({ctx});
   return true;
 }
 

@@ -221,35 +221,51 @@ std::vector<Verdict> PolicyEngine::evaluate_batch(
   std::unordered_map<std::string, bool> memo;
   std::vector<std::optional<std::vector<Value>>> args_cache(call_sites_);
 
-  // Batch-preparer pre-pass (DESIGN.md §15): before any flow is evaluated,
-  // resolve the arguments of every candidate call to a function with a
-  // registered preparer and hand them over in one shot (the `verify`
-  // builtin batch-verifies all attestations with one multi-scalar
-  // multiplication, seeding its memo).  Purely a warm-up: argument
-  // resolution failures are skipped (the per-flow pass reaches the same
-  // PolicyError on its own, or never reaches the call), preparer failures
-  // are swallowed, and no eval-level counter moves — the stats invariants
-  // against serial evaluation are untouched.
+  // Batch-preparer pre-pass (DESIGN.md §11, §15): before any flow is
+  // evaluated, resolve the arguments of every reachable call to a function
+  // with a registered preparer and hand them over in one shot (the
+  // `verify` builtin batch-verifies all attestations with one multi-scalar
+  // multiplication, seeding its memo).  A call is reachable for a flow
+  // when every earlier `with` in its rule is hoistable and holds; gathering
+  // for a rule stops at its first non-hoistable or false call, and at its
+  // first preparer call (whose verdict is what the preparer computes), so
+  // a vendor-gated verify is gathered only for that vendor's flows.
+  // Purely a warm-up: resolution or gate failures are skipped (the
+  // per-flow pass reaches the same PolicyError on its own, or never
+  // reaches the call), preparer failures are swallowed, the gate checks
+  // run against scratch stats and bypass the hoist memo — the stats
+  // invariants against serial evaluation are untouched.  A gate may run
+  // for a rule serial evaluation never visits (a `quick` match upstream);
+  // flow-invariant predicates only read their arguments, so that is
+  // unobservable.
   if (has_preparers_) {
     std::map<std::string_view, std::vector<std::vector<Value>>> gathered;
+    EngineStats scratch_stats;
     for (const FlowContext& ctx : batch) {
       const auto [slot, inserted] = slots.try_emplace(
           ctx.flow, static_cast<std::uint32_t>(candidate_sets.size()));
       if (inserted) candidate_sets.push_back(static_candidates(ctx.flow));
-      const EvalContext eval(ctx, ruleset_, registry_, stats_);
+      const EvalContext eval(ctx, ruleset_, registry_, scratch_stats);
       for (const std::uint32_t index : candidate_sets[slot->second]) {
         for (const CompiledCall& cc : compiled_[index].withs) {
-          if (cc.preparer == nullptr) continue;
+          if (cc.fn == nullptr) break;
+          if (cc.preparer == nullptr && !cc.hoistable) break;
           try {
             std::vector<Value> resolved;
             resolved.reserve(cc.call->args.size());
             for (const Expr& expr : cc.call->args) {
               resolved.push_back(eval.eval_expr(expr));
             }
-            gathered[cc.call->name].push_back(std::move(resolved));
-          } catch (const PolicyError&) {
-            // The call's arguments don't resolve for this flow; serial
-            // evaluation throws if and when it actually reaches the call.
+            if (cc.preparer != nullptr) {
+              gathered[cc.call->name].push_back(std::move(resolved));
+              break;
+            }
+            if (!(*cc.fn)(eval, *cc.call, resolved)) break;
+          } catch (...) {
+            // The call does not resolve (or a gate throws) for this flow;
+            // serial evaluation throws if and when it actually reaches the
+            // call.
+            break;
           }
         }
       }

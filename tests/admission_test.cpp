@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <tuple>
 
 #include "controller/admission.hpp"
 #include "controller/admission_controller.hpp"
@@ -129,6 +131,8 @@ TEST(PipelineComposition, FakeStagesDriveAdmission) {
   EXPECT_TRUE(net.flow_delivered(web));
   EXPECT_FALSE(net.flow_delivered(telnet));
   EXPECT_EQ(engine_ptr->decide_calls, 2u);
+  // Ready at begin (nobody to query): each verdict is a decide_many of one.
+  EXPECT_EQ(engine_ptr->batch_sizes, (std::vector<std::size_t>{1, 1}));
   EXPECT_EQ(installer_ptr->allow_calls, 1u);
   EXPECT_EQ(installer_ptr->drop_calls, 1u);
   EXPECT_EQ(controller.stats().flows_allowed, 1u);
@@ -311,6 +315,129 @@ TEST(DecideMany, SimultaneousTimeoutsDecideAsOneBatch) {
   for (const auto& record : controller.audit_log()) {
     EXPECT_TRUE(record.timed_out);
   }
+}
+
+TEST(DecideMany, ReadyOnResponseDecidesAsBatchOfOne) {
+  // Both ends answer, so each flow becomes ready in the response handler
+  // and reaches the engine as a decide_many of one — the controller has no
+  // other route to the engine.
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& client = net.add_host("client", "10.0.0.1");
+  auto& server = net.add_host("server", "10.0.0.2");
+  net.link(client, s1);
+  net.link(server, s1);
+  auto& controller = net.install_controller("pass all\n");
+  auto engine = std::make_unique<FakeDecisionEngine>(23);
+  FakeDecisionEngine* engine_ptr = engine.get();
+  controller.replace_engine(std::move(engine));
+
+  client.add_user("u", "users");
+  const int pid = client.launch("u", "/bin/x");
+  const FlowHandle web = net.start_flow(client, pid, "10.0.0.2", 80);
+  const FlowHandle telnet = net.start_flow(client, pid, "10.0.0.2", 23);
+  net.run();
+
+  EXPECT_TRUE(net.flow_delivered(web));
+  EXPECT_FALSE(net.flow_delivered(telnet));
+  EXPECT_EQ(controller.stats().query_timeouts, 0u);
+  EXPECT_GE(controller.stats().responses_received, 4u);
+  EXPECT_EQ(engine_ptr->batch_sizes, (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(engine_ptr->decide_calls, 2u);
+}
+
+/// FakeDecisionEngine that, on its first batch, schedules `race` on the
+/// global lane at the same instant.  Called from a shard lane, the race
+/// lands between the batch's dispatch and its commit.
+class RacingDecisionEngine : public FakeDecisionEngine {
+ public:
+  explicit RacingDecisionEngine(sim::Simulator& sim)
+      : FakeDecisionEngine(23), sim_(&sim) {}
+
+  std::vector<ctrl::AdmissionDecision> decide_many(
+      const std::vector<const ctrl::AdmissionContext*>& batch) override {
+    if (race) {
+      sim_->schedule_on(sim::kGlobalLane, sim_->now(), std::move(race));
+      race = nullptr;
+    }
+    return FakeDecisionEngine::decide_many(batch);
+  }
+
+  std::function<void()> race;
+
+ private:
+  sim::Simulator* sim_;
+};
+
+struct SweepRun {
+  std::vector<std::size_t> batch_sizes;
+  std::vector<std::tuple<net::FiveTuple, bool, std::string, bool>> verdicts;
+};
+
+/// Three flows (ports 80, 23, 80) time out on one deadline; the engine
+/// races a revoke_all against the sweep's batch.
+SweepRun run_raced_sweep(bool sharded) {
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& a = net.add_host("a", "10.0.0.1");
+  auto& b = net.add_host("b", "10.0.0.2");
+  auto& c = net.add_host("c", "10.0.0.3");
+  auto& server = net.add_host("server", "10.0.0.9");
+  for (auto* h : {&a, &b, &c, &server}) net.link(*h, s1);
+
+  ctrl::ControllerConfig config;
+  if (sharded) {
+    net.simulator().configure_shard_lanes(1);
+    config.decision_lane = 1;
+    config.cookie_namespace = 1;
+  }
+  ctrl::AdmissionPipeline pipeline;
+  auto engine = std::make_unique<RacingDecisionEngine>(net.simulator());
+  RacingDecisionEngine* engine_ptr = engine.get();
+  pipeline.engine = std::move(engine);
+  BlackholeQueryController controller(&net.topology(), std::move(pipeline),
+                                      config);
+  controller.adopt_switch(s1);
+  for (auto* h : {&a, &b, &c, &server}) {
+    controller.register_host(h->ip(), h->id(), h->mac());
+  }
+  engine_ptr->race = [&controller] { (void)controller.revoke_all(); };
+
+  const std::uint16_t ports[] = {80, 23, 80};
+  int i = 0;
+  for (auto* h : {&a, &b, &c}) {
+    h->add_user("u", "users");
+    const int pid = h->launch("u", "/bin/x");
+    net.start_flow(*h, pid, "10.0.0.9", ports[i++]);
+  }
+  net.run();
+
+  SweepRun run;
+  run.batch_sizes = engine_ptr->batch_sizes;
+  for (const auto& record : controller.audit_log()) {
+    run.verdicts.emplace_back(record.flow, record.allowed, record.rule,
+                              record.timed_out);
+  }
+  return run;
+}
+
+TEST(DecideMany, RacedSweepReDecidesWholeBatchInOneCall) {
+  // Sharded domain: the deadline sweep's batch is dispatched to the shard
+  // lane; a revoke_all lands before its commit, so the commit discards the
+  // stale verdicts and re-decides all three flows in ONE decide_many.  The
+  // verdicts equal the unsharded run's, where the sweep decides inline.
+  const SweepRun classic = run_raced_sweep(false);
+  const SweepRun sharded = run_raced_sweep(true);
+  EXPECT_EQ(classic.batch_sizes, (std::vector<std::size_t>{3}));
+  EXPECT_EQ(sharded.batch_sizes, (std::vector<std::size_t>{3, 3}));
+  ASSERT_EQ(classic.verdicts.size(), 3u);
+  EXPECT_EQ(sharded.verdicts, classic.verdicts);
+  std::size_t allowed = 0;
+  for (const auto& verdict : sharded.verdicts) {
+    EXPECT_TRUE(std::get<3>(verdict));  // decided at the deadline
+    allowed += std::get<1>(verdict) ? 1 : 0;
+  }
+  EXPECT_EQ(allowed, 2u);
 }
 
 // ---------------------------------------------------------------- revocation

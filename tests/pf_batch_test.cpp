@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "crypto/schnorr.hpp"
+#include "crypto/verifier.hpp"
 #include "identxx/daemon_config.hpp"
 #include "pf/eval.hpp"
 #include "pf/parser.hpp"
@@ -276,6 +277,53 @@ TEST(BatchEval, SharedAttestationVerifiesOncePerBatch) {
   EXPECT_EQ(after.hoist_memo_hits - before.hoist_memo_hits, 15u);
   EXPECT_EQ(after.batches - before.batches, 1u);
   EXPECT_EQ(after.batch_flows - before.batch_flows, 16u);
+}
+
+TEST(BatchEval, PrePassGathersOnlyVerifyCallsTheirGatesAdmit) {
+  // One verify() rule per vendor, each gated by eq(@src[vendor], vN): a
+  // flow reaches only its own vendor's verify, so the batch pre-pass must
+  // hand the preparer one attestation per flow, not one per vendor.
+  constexpr int kVendors = 16;
+  std::vector<crypto::PrivateKey> keys;
+  std::string policy = "dict <pubkeys> {";
+  for (int k = 0; k < kVendors; ++k) {
+    keys.push_back(crypto::PrivateKey::from_seed("vendor-" + std::to_string(k)));
+    policy += (k == 0 ? " v" : ", v") + std::to_string(k) + " : " +
+              keys.back().public_key().to_hex();
+  }
+  policy += " }\nblock all\n";
+  for (int k = 0; k < kVendors; ++k) {
+    const std::string v = "v" + std::to_string(k);
+    policy += "pass all with eq(@src[vendor], " + v + ") with verify(@src[sig], "
+              "@pubkeys[" + v + "], @src[name], @src[version])\n";
+  }
+  const auto attested = [&keys](int vendor, const char* src) {
+    proto::Section s;
+    s.add("name", "curl");
+    s.add("version", "210");
+    s.add("vendor", "v" + std::to_string(vendor));
+    s.add("sig", keys[static_cast<std::size_t>(vendor)]
+                     .sign(proto::signed_message({"curl", "210"}))
+                     .to_hex());
+    proto::Response r;
+    r.append_section(s);
+    FlowContext ctx;
+    ctx.flow = flow(src, "10.0.2.2");
+    ctx.src = proto::ResponseDict(r);
+    return ctx;
+  };
+  const std::vector<FlowContext> batch = {attested(3, "10.0.0.1"),
+                                          attested(11, "10.0.0.2")};
+
+  const PolicyEngine engine(parse(policy, "test"));
+  const crypto::SchnorrVerifier& verifier = *engine.registry().verifier();
+  const crypto::SchnorrVerifier::Stats before = verifier.stats();
+  const auto verdicts = engine.evaluate_batch(std::span<const FlowContext>(batch));
+  const crypto::SchnorrVerifier::Stats after = verifier.stats();
+  for (const Verdict& v : verdicts) EXPECT_TRUE(v.allowed());
+  EXPECT_EQ(after.memo_misses - before.memo_misses, 2u);
+  EXPECT_EQ(after.batch_rejects - before.batch_rejects, 0u);
+  expect_batch_matches_serial(engine, batch, "vendor-gated verify");
 }
 
 TEST(BatchEval, AllowedIsNeverHoisted) {

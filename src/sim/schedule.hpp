@@ -2,17 +2,17 @@
 
 // Schedule-controller hook for the multi-queue simulator (DESIGN.md §13).
 //
-// The wave loop in Simulator::run_wave normally executes the shard-lane
-// phase in canonical ascending-lane order (serially) or in parallel with a
-// canonical staged merge; either way the observable event sequence is the
-// same.  A ScheduleController lets a model checker dictate the *modeled
-// arrival order* of the shard-lane batches instead: the wave still runs
-// serially, but the per-wave lane execution order is whatever plan_wave
-// returns, while the staged cross-lane merge stays canonical (ascending
-// lane order) — exactly the commutativity obligation the deterministic-
-// merge spec places on shard code.  If shard lanes only communicate through
-// the staged global-lane commit protocol, every execution order yields a
-// bit-identical ScenarioResult; a divergence is an ordering bug.
+// Simulator::run_wave is one executor: it runs each shard-lane batch with
+// its newly scheduled events staged per lane, serially or in parallel, and
+// merges the staged events at the wave barrier in ascending lane order.  A
+// ScheduleController only dictates the order: plan_wave permutes the
+// per-wave shard-lane execution order — the *modeled arrival order* — and
+// the wave then runs those lanes serially in that order, through the same
+// staging and the same canonical merge.  That is exactly the
+// commutativity obligation the deterministic-merge spec places on shard
+// code: if shard lanes only communicate through the staged global-lane
+// commit protocol, every execution order yields a bit-identical
+// ScenarioResult; a divergence is an ordering bug.
 //
 // The controller also observes logical-resource accesses (on_access) so a
 // DPOR-style explorer can build commutativity footprints: two lane batches
@@ -48,7 +48,7 @@ struct LaneAccess {
 
 /// Dictates per-wave shard-lane execution order and observes accesses.
 /// Attach with Simulator::set_schedule_controller; the simulator then runs
-/// every shard phase serially under the controller's direction.
+/// every shard phase serially in the controller's order.
 class ScheduleController {
  public:
   virtual ~ScheduleController() = default;

@@ -11,7 +11,7 @@ namespace identxx::sim {
 namespace {
 
 /// Which simulator/lane the current thread is executing an event for, and
-/// (during the parallel shard phase) where its newly scheduled events go.
+/// (during the shard-lane phase) where its newly scheduled events go.
 /// Thread-local so shard-lane handlers on pool threads stage instead of
 /// touching the shared queues.  `origin` is the shard lane the current
 /// event is attributed to for schedule-exploration footprints: the
@@ -149,7 +149,7 @@ void Simulator::schedule_on(LaneId lane, SimTime when,
   LaneId origin = t_exec.sim == this ? t_exec.origin : kGlobalLane;
   if (origin == kGlobalLane) origin = lane;
   if (t_exec.sim == this && t_exec.staging != nullptr) {
-    // Parallel shard phase: stage; the epoch barrier merges in lane order.
+    // Shard-lane phase: stage; the epoch barrier merges in lane order.
     t_exec.staging->push_back(
         StagedEvent{lane, when, origin, std::move(callback)});
     return;
@@ -183,120 +183,90 @@ SimTime Simulator::next_event_time() const noexcept {
 }
 
 std::uint64_t Simulator::run_wave(SimTime t) {
-  // Pop the wave: every event at exactly `t`, per lane in FIFO seq order.
-  std::vector<std::vector<Event>> batches(lanes_.size());
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    auto& queue = lanes_[i].queue;
-    while (!queue.empty() && queue.top().when == t) {
-      batches[i].push_back(std::move(const_cast<Event&>(queue.top())));
-      queue.pop();
-    }
-  }
+  // The wave is every event at exactly `t` queued before it starts, per
+  // lane in FIFO sequence order.  Work the wave schedules at `t` carries a
+  // later sequence number and runs in the next wave.
+  const std::uint64_t wave_end = next_sequence_;
+  const auto in_wave = [this, t, wave_end](LaneId lane) {
+    const auto& queue = lanes_[lane].queue;
+    return !queue.empty() && queue.top().when == t &&
+           queue.top().sequence < wave_end;
+  };
+  const auto pop = [this](LaneId lane) {
+    auto& queue = lanes_[lane].queue;
+    Event event = std::move(const_cast<Event&>(queue.top()));
+    queue.pop();
+    return event;
+  };
 
+  // Global-lane phase: serial, straight off the queue, so a wave with no
+  // shard work allocates nothing; schedules go straight into the queues.
+  // Each event runs with its own shard attribution so a staged commit's
+  // effects (and, under a schedule controller, its accesses) count
+  // against its origin lane.
   std::uint64_t executed = 0;
-
-  // Global-lane phase: serial; schedules go straight into the queues,
-  // which reproduces the historical single-queue order exactly.  Under a
-  // schedule controller each event runs with its own shard attribution so
-  // staged commits report accesses against their origin lane.
-  if (schedule_controller_ != nullptr) {
-    for (Event& event : batches[kGlobalLane]) {
-      ExecScope scope(this, kGlobalLane, nullptr, event.origin);
-      event.action();
-      ++executed;
-    }
-  } else {
-    ExecScope scope(this, kGlobalLane, nullptr, kGlobalLane);
-    for (Event& event : batches[kGlobalLane]) {
-      event.action();
-      ++executed;
-    }
+  while (in_wave(kGlobalLane)) {
+    Event event = pop(kGlobalLane);
+    ExecScope scope(this, kGlobalLane, nullptr, event.origin);
+    event.action();
+    ++executed;
   }
 
   // Shard-lane phase: lanes touch disjoint shard-local state, so they may
-  // run in parallel.  New events are staged per lane and merged at the
-  // barrier in lane order — the same order a serial pass produces — so the
-  // result is independent of the worker count.
-  std::vector<LaneId> active;
-  for (LaneId lane = 1; lane < batches.size(); ++lane) {
-    if (!batches[lane].empty()) active.push_back(lane);
+  // run in any order or in parallel.  New events are staged per lane and
+  // merged at the barrier in ascending lane order, so the result is
+  // independent of the worker count and of the order a schedule
+  // controller dictates (DESIGN.md §13).
+  std::vector<LaneId> order;
+  for (LaneId lane = 1; lane < lanes_.size(); ++lane) {
+    if (in_wave(lane)) order.push_back(lane);
   }
-  if (!active.empty()) {
-    if (schedule_controller_ != nullptr) {
-      // Schedule-exploration path (DESIGN.md §13): run the shard batches
-      // serially in the order the controller dictates — the modeled
-      // arrival order — while keeping the cross-lane merge canonical
-      // (ascending lane order), exactly as the parallel barrier would.
-      // With an identity controller this is bit-identical to both serial
-      // and parallel canonical execution.
-      std::vector<LaneId> order = active;
-      schedule_controller_->plan_wave(t, order);
-      std::vector<std::vector<StagedEvent>> staged(order.size());
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        const LaneId lane = order[k];
-        ExecScope scope(this, lane, &staged[k], lane);
-        for (Event& event : batches[lane]) {
-          event.action();
-          ++executed;
-        }
-      }
-      if (fault_merge_arrival_order_) {
-        // Injected mutation: commit staged events in modeled arrival
-        // order.  Divergences under permuted schedules are the checker's
-        // self-test signal.
-        for (auto& lane_staged : staged) {
-          for (StagedEvent& event : lane_staged) {
-            push_event(event.lane, event.when, event.origin,
-                       std::move(event.action));
-          }
-        }
-      } else {
-        for (const LaneId lane : active) {
-          const std::size_t k = static_cast<std::size_t>(
-              std::find(order.begin(), order.end(), lane) - order.begin());
-          for (StagedEvent& event : staged[k]) {
-            push_event(event.lane, event.when, event.origin,
-                       std::move(event.action));
-          }
-        }
-      }
-    } else if (workers_ <= 1 || active.size() == 1) {
-      for (const LaneId lane : active) {
-        ExecScope scope(this, lane, nullptr, lane);
-        for (Event& event : batches[lane]) {
-          event.action();
-          ++executed;
-        }
-      }
-    } else {
-      std::vector<std::vector<StagedEvent>> staged(active.size());
-      std::vector<std::exception_ptr> errors(active.size());
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(active.size());
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        tasks.push_back([this, &batches, &staged, &errors, k,
-                         lane = active[k]]() noexcept {
-          ExecScope scope(this, lane, &staged[k], lane);
-          try {
-            for (Event& event : batches[lane]) event.action();
-          } catch (...) {
-            errors[k] = std::current_exception();
-          }
-        });
-      }
-      ensure_pool();
-      pool_->run(tasks);
-      for (const LaneId lane : active) executed += batches[lane].size();
-      for (auto& lane_staged : staged) {
-        for (StagedEvent& event : lane_staged) {
-          push_event(event.lane, event.when, event.origin,
-                     std::move(event.action));
-        }
-      }
-      for (const auto& error : errors) {
-        if (error) std::rethrow_exception(error);
-      }
+  if (order.empty()) {
+    stats_.events_executed += executed;
+    return executed;
+  }
+  std::vector<std::vector<Event>> batches(lanes_.size());
+  for (const LaneId lane : order) {
+    while (in_wave(lane)) batches[lane].push_back(pop(lane));
+  }
+  if (schedule_controller_ != nullptr) {
+    schedule_controller_->plan_wave(t, order);
+  }
+  std::vector<std::vector<StagedEvent>> staged(batches.size());
+  std::vector<std::exception_ptr> errors(batches.size());
+  const auto run_lane = [this, &batches, &staged, &errors](LaneId lane) {
+    ExecScope scope(this, lane, &staged[lane], lane);
+    try {
+      for (Event& event : batches[lane]) event.action();
+    } catch (...) {
+      errors[lane] = std::current_exception();
     }
+  };
+  if (schedule_controller_ == nullptr && workers_ > 1 && order.size() > 1) {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(order.size());
+    for (const LaneId lane : order) {
+      tasks.push_back([&run_lane, lane]() noexcept { run_lane(lane); });
+    }
+    ensure_pool();
+    pool_->run(tasks);
+  } else {
+    for (const LaneId lane : order) run_lane(lane);
+  }
+  for (const LaneId lane : order) executed += batches[lane].size();
+
+  // The one merge site: ascending lane order.  Under the injected
+  // mutation (checker self-test) staged events commit in modeled arrival
+  // order instead.
+  if (!fault_merge_arrival_order_) std::sort(order.begin(), order.end());
+  for (const LaneId lane : order) {
+    for (StagedEvent& event : staged[lane]) {
+      push_event(event.lane, event.when, event.origin,
+                 std::move(event.action));
+    }
+  }
+  for (const LaneId lane : order) {
+    if (errors[lane]) std::rethrow_exception(errors[lane]);
   }
 
   stats_.events_executed += executed;
@@ -305,25 +275,6 @@ std::uint64_t Simulator::run_wave(SimTime t) {
 
 std::uint64_t Simulator::run(SimTime deadline) {
   std::uint64_t executed = 0;
-  // Single-lane fast path (every unsharded run): the historical
-  // pop-execute loop, no per-wave batch allocation.  Semantically
-  // identical to the wave loop restricted to one lane.  The lane count is
-  // re-checked each iteration (an event may configure shard lanes, which
-  // can also reallocate lanes_); any remainder falls through to the wave
-  // loop below.
-  while (lanes_.size() == 1 && !lanes_[kGlobalLane].queue.empty()) {
-    auto& queue = lanes_[kGlobalLane].queue;
-    if (deadline >= 0 && queue.top().when > deadline) break;
-    Event event = std::move(const_cast<Event&>(queue.top()));
-    queue.pop();
-    now_ = event.when;
-    {
-      ExecScope scope(this, kGlobalLane, nullptr, event.origin);
-      event.action();
-    }
-    ++executed;
-    ++stats_.events_executed;
-  }
   for (;;) {
     const SimTime t = next_event_time();
     if (t < 0) break;
@@ -333,33 +284,6 @@ std::uint64_t Simulator::run(SimTime deadline) {
   }
   if (deadline >= 0 && now_ < deadline && idle()) {
     now_ = deadline;
-  }
-  return executed;
-}
-
-std::uint64_t Simulator::run_events(std::uint64_t max_events) {
-  // Bounded single-step execution (tests/debugging): events run one at a
-  // time in the canonical (when, sequence) order across all lanes.
-  std::uint64_t executed = 0;
-  while (executed < max_events) {
-    std::size_t best = lanes_.size();
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (lanes_[i].queue.empty()) continue;
-      if (best == lanes_.size() ||
-          EventLater{}(lanes_[best].queue.top(), lanes_[i].queue.top())) {
-        best = i;
-      }
-    }
-    if (best == lanes_.size()) break;
-    Event event = std::move(const_cast<Event&>(lanes_[best].queue.top()));
-    lanes_[best].queue.pop();
-    now_ = event.when;
-    {
-      ExecScope scope(this, static_cast<LaneId>(best), nullptr, event.origin);
-      event.action();
-    }
-    ++executed;
-    ++stats_.events_executed;
   }
   return executed;
 }

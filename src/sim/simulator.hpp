@@ -17,15 +17,16 @@
 // Multi-queue core (sharded admission domains, DESIGN.md §10): the event
 // queue is split into lanes — lane 0 (kGlobalLane) carries every node /
 // packet / control-channel event, and one extra lane per admission domain
-// carries that shard's decision work.  Execution proceeds in virtual-clock
-// epochs ("waves"): all events at the earliest pending timestamp run
-// together — the global lane first, serially, then the shard lanes, which
-// touch only shard-local state and may therefore run in parallel on a
-// WorkerPool.  Events scheduled during the parallel phase are staged per
-// lane and merged at the epoch barrier in lane order, so the resulting
-// event sequence is bit-identical whatever the worker count (and, for
-// single-lane configurations, identical to the historical single-queue
-// order).
+// carries that shard's decision work.  run() is one loop over virtual-clock
+// epochs ("waves"), and run_wave() is the one executor: all events at the
+// earliest pending timestamp run together — the global lane first,
+// serially, then the shard lanes, which touch only shard-local state and
+// may therefore run in parallel on a WorkerPool.  Events scheduled by
+// shard-lane work are always staged per lane and merged at the epoch
+// barrier in ascending lane order, so the resulting event sequence is
+// bit-identical whatever the worker count or the shard-lane execution
+// order an attached ScheduleController dictates.  A run with no shard
+// lanes is the wave loop restricted to lane 0: FIFO per timestamp.
 
 #include <cstdint>
 #include <functional>
@@ -173,10 +174,10 @@ class Simulator {
   // ---- schedule exploration (DESIGN.md §13) ---------------------------------
 
   /// Attach a ScheduleController: every shard-lane phase then runs
-  /// serially in the per-wave order the controller dictates, with newly
-  /// scheduled events staged and merged canonically (ascending lane
-  /// order) at the wave barrier.  An identity controller reproduces the
-  /// canonical run bit-for-bit.  Pass nullptr to detach.  Not owned.
+  /// serially in the per-wave order the controller dictates.  The executor
+  /// is the same one every run uses — staging and the ascending-lane merge
+  /// do not change — so an identity controller reproduces the canonical
+  /// run bit-for-bit.  Pass nullptr to detach.  Not owned.
   void set_schedule_controller(ScheduleController* controller) noexcept {
     schedule_controller_ = controller;
   }
@@ -192,12 +193,9 @@ class Simulator {
     fault_merge_arrival_order_ = on;
   }
 
-  /// Run until the event queue drains or `deadline` is reached.
-  /// Returns the number of events executed.
+  /// Run whole waves until the event queue drains or the next wave lies
+  /// past `deadline`.  Returns the number of events executed.
   std::uint64_t run(SimTime deadline = -1);
-
-  /// Execute at most `max_events` pending events.
-  std::uint64_t run_events(std::uint64_t max_events);
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] bool idle() const noexcept;
@@ -219,8 +217,8 @@ class Simulator {
     tracer_ = std::move(tracer);
   }
 
-  /// An event scheduled from inside the parallel shard phase, buffered
-  /// until the epoch barrier merges it deterministically.  `origin` is
+  /// An event scheduled from inside the shard-lane phase, buffered until
+  /// the epoch barrier merges it deterministically.  `origin` is
   /// the shard lane the event is attributed to for schedule-exploration
   /// footprints (kGlobalLane for work with no shard ancestry).
   struct StagedEvent {

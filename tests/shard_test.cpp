@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <functional>
+#include <string>
 
 #include "controller/shard_map.hpp"
 #include "controller/sharded_controller.hpp"
@@ -142,17 +146,168 @@ TEST(SimulatorLanes, ShardEventsInheritTheirLane) {
   EXPECT_TRUE(sim.idle());
 }
 
+/// Leaves the canonical (ascending) shard-lane order untouched.
+class IdentityController final : public sim::ScheduleController {
+ public:
+  void plan_wave(sim::SimTime /*when*/,
+                 std::vector<sim::LaneId>& /*order*/) override {}
+  void on_access(sim::LaneId /*origin*/,
+                 const sim::LaneAccess& /*access*/) override {}
+};
+
+/// Runs every wave's shard lanes in descending order.
+class ReversingController final : public sim::ScheduleController {
+ public:
+  void plan_wave(sim::SimTime /*when*/,
+                 std::vector<sim::LaneId>& order) override {
+    std::reverse(order.begin(), order.end());
+  }
+  void on_access(sim::LaneId /*origin*/,
+                 const sim::LaneAccess& /*access*/) override {}
+};
+
+struct LaneRunConfig {
+  std::uint32_t workers = 1;
+  sim::ScheduleController* controller = nullptr;
+  bool fault_merge_arrival_order = false;
+};
+
+void apply(sim::Simulator& sim, const LaneRunConfig& config) {
+  sim.set_workers(config.workers);
+  sim.set_schedule_controller(config.controller);
+  sim.set_fault_merge_arrival_order(config.fault_merge_arrival_order);
+}
+
+/// Global-only, shard-only and mixed waves plus same-instant follow-ups,
+/// with a deadline that splits the run.  Returns {run() total,
+/// stats().events_executed, callbacks fired}.
+std::array<std::uint64_t, 3> run_accounting(const LaneRunConfig& config) {
+  sim::Simulator sim;
+  sim.configure_shard_lanes(3);
+  apply(sim, config);
+  std::atomic<std::uint64_t> fired{0};
+  const auto fire = [&fired] { fired.fetch_add(1, std::memory_order_relaxed); };
+  // t=1: two global-only waves (a same-instant global follow-up).
+  sim.schedule_on(sim::kGlobalLane, 1, fire);
+  sim.schedule_on(sim::kGlobalLane, 1, [&] {
+    fire();
+    sim.schedule_after(0, fire);
+  });
+  // t=2: a shard-only wave on all three lanes, then a mixed wave from the
+  // same-instant follow-ups (lane 2 onto itself, lane 3 onto global).
+  sim.schedule_on(1, 2, fire);
+  sim.schedule_on(2, 2, [&] {
+    fire();
+    sim.schedule_after(0, fire);
+  });
+  sim.schedule_on(3, 2, [&] {
+    fire();
+    sim.schedule_on(sim::kGlobalLane, sim.now(), fire);
+  });
+  // t=3: a mixed wave whose global event feeds lane 2 at the same instant.
+  sim.schedule_on(sim::kGlobalLane, 3, [&] {
+    fire();
+    sim.schedule_on(2, sim.now(), fire);
+  });
+  sim.schedule_on(1, 3, fire);
+  sim.schedule_on(3, 3, fire);
+  // t=4: past the first deadline.
+  sim.schedule_on(sim::kGlobalLane, 4, fire);
+  sim.schedule_on(1, 4, fire);
+
+  const std::uint64_t first = sim.run(3);
+  EXPECT_EQ(first, 12u);
+  EXPECT_EQ(sim.now(), 3);
+  const std::uint64_t total = first + sim.run();
+  EXPECT_TRUE(sim.idle());
+  return {total, sim.stats().events_executed, fired.load()};
+}
+
 TEST(SimulatorLanes, WavesCountAllEvents) {
+  IdentityController identity;
+  const std::array<std::uint64_t, 3> expected{14, 14, 14};
+  EXPECT_EQ(run_accounting({.workers = 1}), expected);
+  EXPECT_EQ(run_accounting({.workers = 4}), expected);
+  EXPECT_EQ(run_accounting({.workers = 4, .controller = &identity}),
+            expected);
+}
+
+/// Same-instant cross-lane ordering.  Global-lane events append to the
+/// global trace; shard events append to their own lane's trace (lane-local,
+/// so race-free on pool threads) together with the number of global events
+/// that ran before them.
+std::string run_same_instant(const LaneRunConfig& config) {
   sim::Simulator sim;
   sim.configure_shard_lanes(2);
-  int fired = 0;
-  sim.schedule_on(0, 1, [&] { ++fired; });
-  sim.schedule_on(1, 1, [&] { ++fired; });
-  sim.schedule_on(2, 1, [&] { ++fired; });
-  sim.schedule_on(1, 2, [&] { ++fired; });
-  EXPECT_EQ(sim.run(), 4u);
-  EXPECT_EQ(fired, 4);
-  EXPECT_EQ(sim.stats().events_executed, 4u);
+  apply(sim, config);
+  std::vector<std::string> global;
+  std::array<std::vector<std::string>, 3> lane;
+  const auto on_global = [&](std::string name) {
+    return [&global, name = std::move(name)] { global.push_back(name); };
+  };
+  const auto note = [&](sim::LaneId id, const std::string& name) {
+    lane[id].push_back(name + "/g" + std::to_string(global.size()));
+  };
+  // Shard event B is queued at t=1 before global event C: the global lane
+  // runs first, so B sees C.  B then schedules at `now` onto its own lane,
+  // onto the other shard lane and onto the global lane.  What C schedules
+  // at `now` runs in the next wave, after this wave's shard events.
+  sim.schedule_on(1, 1, [&] {
+    note(1, "B");
+    sim.schedule_after(0, [&] {
+      note(1, "B.self");
+      sim.schedule_on(sim::kGlobalLane, sim.now(), on_global("B.self.commit"));
+    });
+    sim.schedule_on(2, sim.now(), [&] {
+      note(2, "B.other");
+      sim.schedule_on(sim::kGlobalLane, sim.now(), on_global("B.other.commit"));
+    });
+    sim.schedule_on(sim::kGlobalLane, sim.now(), on_global("B.commit"));
+  });
+  sim.schedule_on(sim::kGlobalLane, 1, [&] {
+    global.push_back("C");
+    sim.schedule_after(0, on_global("C.next"));
+    sim.schedule_on(2, sim.now(), [&] { note(2, "C.lane2"); });
+  });
+  sim.schedule_on(2, 1, [&] {
+    note(2, "D");
+    sim.schedule_on(sim::kGlobalLane, sim.now(), on_global("D.commit"));
+  });
+  sim.run();
+  EXPECT_EQ(sim.now(), 1);
+
+  std::string trace;
+  for (const auto& name : global) trace += name + " ";
+  for (sim::LaneId id = 1; id < lane.size(); ++id) {
+    trace += (id == 1 ? "| lane" : " | lane") + std::to_string(id) + ":";
+    for (const auto& name : lane[id]) trace += " " + name;
+  }
+  return trace;
+}
+
+TEST(SimulatorLanes, SameInstantCrossLaneOrderIsPinned) {
+  const std::string expected =
+      "C C.next B.commit D.commit B.self.commit B.other.commit "
+      "| lane1: B/g1 B.self/g4 | lane2: D/g1 C.lane2/g4 B.other/g4";
+  IdentityController identity;
+  ReversingController reversing;
+  EXPECT_EQ(run_same_instant({.workers = 1}), expected);
+  EXPECT_EQ(run_same_instant({.workers = 4}), expected);
+  EXPECT_EQ(run_same_instant({.workers = 1, .controller = &identity}),
+            expected);
+  EXPECT_EQ(run_same_instant({.workers = 1, .controller = &reversing}),
+            expected);
+  // The injected arrival-order merge is visible only when the controller
+  // permutes the lanes: D's commit then lands before B's.
+  EXPECT_EQ(run_same_instant({.workers = 1,
+                              .controller = &identity,
+                              .fault_merge_arrival_order = true}),
+            expected);
+  EXPECT_EQ(run_same_instant({.workers = 1,
+                              .controller = &reversing,
+                              .fault_merge_arrival_order = true}),
+            "C C.next D.commit B.commit B.other.commit B.self.commit "
+            "| lane1: B/g1 B.self/g4 | lane2: D/g1 C.lane2/g4 B.other/g4");
 }
 
 // ------------------------------------------------------ scenario invariance

@@ -88,14 +88,6 @@ TEST(Simulator, RunWithDeadlineStopsEarly) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, RunEventsBounded) {
-  Simulator sim;
-  int fired = 0;
-  for (int i = 0; i < 5; ++i) sim.schedule_at(i + 1, [&] { ++fired; });
-  EXPECT_EQ(sim.run_events(3), 3u);
-  EXPECT_EQ(fired, 3);
-}
-
 TEST(Simulator, DeliversPacketOverLink) {
   Simulator sim;
   const NodeId a = sim.add_node(std::make_unique<RecorderNode>("a"));

@@ -7,11 +7,14 @@
 // registered key's comb table, no doubling chain), BM_SchnorrVerifyColdKeys
 // (stateless verify() — the no-precomputation floor), BM_EcMulAdd* (fused
 // Shamir double-scalar vs two full multiplications), BM_ScalarReduce*
-// (folding reduction mod n vs binary long division), and
-// BM_SchnorrVerifierMemoHit (the controller-layer verification memo).
+// (folding reduction mod n vs binary long division),
+// BM_SchnorrVerifierMemoHit (the controller-layer verification memo), and
+// BM_SchnorrBatchVerify / BM_SchnorrBatchVerifyTiered (batch verification,
+// the latter under a fleet shard's key-table budget, DESIGN.md §15).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "identxx/daemon_config.hpp"
 #include "pf/eval.hpp"
 #include "pf/parser.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -207,6 +211,61 @@ void BM_SchnorrBatchVerify(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SchnorrBatchVerify)->Arg(2)->Arg(8)->Arg(64);
+
+/// A fleet shard's decide_many batches: 16 Zipf-popular vendor keys under
+/// the 4-hot + 8-warm table budget of perfbench's attest_fleet, 16 items
+/// per verify_batch.  Items/s is the per-attestation rate; the counters
+/// report the tier store's table builds and evictions per batch.
+void BM_SchnorrBatchVerifyTiered(benchmark::State& state) {
+  constexpr std::size_t kKeys = 16;
+  constexpr std::size_t kBatch = 16;
+  constexpr std::size_t kBatchPool = 64;
+  std::vector<crypto::PrivateKey> keys;
+  std::vector<double> cumulative;
+  double total = 0;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    keys.push_back(crypto::PrivateKey::from_seed("zipf-" + std::to_string(k)));
+    total += 1.0 / static_cast<double>(k + 1);
+    cumulative.push_back(total);
+  }
+  util::SplitMix64 rng(211);
+  std::vector<std::string> messages;
+  messages.reserve(kBatchPool * kBatch);
+  std::vector<std::vector<crypto::SchnorrVerifier::BatchItem>> batches(
+      kBatchPool);
+  for (std::size_t b = 0; b < kBatchPool; ++b) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const auto k = static_cast<std::size_t>(
+          std::lower_bound(cumulative.begin(), cumulative.end(),
+                           rng.next_double() * total) -
+          cumulative.begin());
+      const crypto::PrivateKey& key = keys[std::min(k, kKeys - 1)];
+      messages.push_back("fleet-" + std::to_string(b) + "-" +
+                         std::to_string(i));
+      batches[b].push_back(crypto::SchnorrVerifier::BatchItem{
+          key.public_key(), messages.back(), key.sign(messages.back())});
+    }
+  }
+  crypto::KeyTierConfig tier_config;
+  tier_config.table_budget_bytes =
+      4 * crypto::KeyTierStore::hot_table_bytes() +
+      8 * crypto::KeyTierStore::warm_table_bytes();
+  crypto::SchnorrVerifier verifier(/*memo_capacity=*/1, tier_config);
+  for (const auto& key : keys) verifier.register_key(key.public_key());
+
+  std::size_t b = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verifier.verify_batch(batches[b++ % kBatchPool]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+  const auto& tiers = verifier.tiers().stats();
+  state.counters["promotions"] = benchmark::Counter(
+      static_cast<double>(tiers.promotions), benchmark::Counter::kAvgIterations);
+  state.counters["demotions"] = benchmark::Counter(
+      static_cast<double>(tiers.demotions), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SchnorrBatchVerifyTiered);
 
 /// The key-tier budget sweep: 256 registered principals verified
 /// round-robin under a budget that holds (0) no tables — per-call GLV,

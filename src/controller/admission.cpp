@@ -556,12 +556,26 @@ crypto::SchnorrVerifier* PolicyDecisionEngine::verifier() const noexcept {
   return engine_->registry().verifier().get();
 }
 
+namespace {
+
+void apply_key_table_budget(crypto::SchnorrVerifier* verifier,
+                            std::size_t bytes) {
+  if (verifier == nullptr) return;
+  crypto::KeyTierConfig config;
+  config.table_budget_bytes = bytes;
+  if (verifier->tiers().config() != config) verifier->set_tier_config(config);
+}
+
+}  // namespace
+
 void PolicyDecisionEngine::set_key_table_budget(std::size_t bytes) {
-  if (auto* v = verifier()) {
-    crypto::KeyTierConfig config;
-    config.table_budget_bytes = bytes;
-    v->set_tier_config(config);
-  }
+  apply_key_table_budget(verifier(), bytes);
+}
+
+pf::FunctionRegistry PolicyDecisionEngine::with_key_table_budget(
+    pf::FunctionRegistry registry, std::size_t bytes) {
+  if (bytes != 0) apply_key_table_budget(registry.verifier().get(), bytes);
+  return registry;
 }
 
 pf::FlowContext PolicyDecisionEngine::make_flow_context(

@@ -443,8 +443,15 @@ class PolicyDecisionEngine : public DecisionEngine {
   /// Cap the verifier's per-key acceleration-table memory
   /// (ControllerConfig::key_table_budget_bytes is applied here by
   /// AdmissionController).  Re-seeds already-registered dict keys into the
-  /// new budget; no-op for engines without a verifier.
+  /// new budget; no-op for engines without a verifier and when the budget
+  /// is already in force.
   void set_key_table_budget(std::size_t bytes);
+  /// Apply a key-table budget to `registry`'s verifier before an engine is
+  /// built on it, so the policy's keys register straight into the budget
+  /// instead of each building a comb table that set_key_table_budget then
+  /// drops.  0 keeps the verifier's default.
+  [[nodiscard]] static pf::FunctionRegistry with_key_table_budget(
+      pf::FunctionRegistry registry, std::size_t bytes);
 
   [[nodiscard]] const pf::PolicyEngine& policy_engine() const noexcept {
     return *engine_;

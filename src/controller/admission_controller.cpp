@@ -492,27 +492,39 @@ void AdmissionController::decide_ready(std::vector<AdmissionContext*> batch) {
     }
     return;
   }
-  // Sharded domain: the engine (shard-local policy engine, verifier and
-  // caches) evaluates the whole batch on this domain's lane, in parallel
-  // with sibling domains; the commit runs back on the global lane, same
-  // virtual instant, so sharding never changes simulated timings.
-  for (AdmissionContext* ctx : batch) ctx->decision_in_flight = true;
-  const std::uint64_t epoch = control_epoch_;
-  simulator().schedule_on(
-      config_.decision_lane, simulator().now(),
-      [this, batch = std::move(batch), epoch]() mutable {
-        // The verdicts are only valid for the dispatch-time epoch; the
-        // eval is a shard-lane read of it.
-        note_epoch_access(config_.cookie_namespace, /*write=*/false);
-        std::vector<AdmissionDecision> decisions =
-            pipeline_.engine->decide_many({batch.begin(), batch.end()});
-        simulator().schedule_on(
-            sim::kGlobalLane, simulator().now(),
-            [this, batch = std::move(batch), epoch,
-             decisions = std::move(decisions)]() mutable {
-              commit_decisions(batch, std::move(decisions), epoch);
-            });
-      });
+  // Sharded domain: contexts readied in one wave under one control epoch
+  // share one batch.  One lane event decides it in one decide_many on this
+  // domain's lane, in parallel with sibling domains; one global-lane event
+  // commits it at the same virtual instant, so sharding never changes
+  // simulated timings.  The first context schedules the lane event, so the
+  // batch commits where its first flow's own event would have (DESIGN.md
+  // §10).
+  const std::uint64_t wave = simulator().wave();
+  if (!open_batch_ || open_batch_->wave != wave ||
+      open_batch_->epoch != control_epoch_) {
+    open_batch_ = std::make_shared<DecisionBatch>(
+        DecisionBatch{wave, control_epoch_, {}});
+    simulator().schedule_on(
+        config_.decision_lane, simulator().now(),
+        [this, open = open_batch_]() {
+          // The verdicts are only valid for the dispatch-time epoch; the
+          // eval is a shard-lane read of it.
+          note_epoch_access(config_.cookie_namespace, /*write=*/false);
+          std::vector<AdmissionDecision> decisions =
+              pipeline_.engine->decide_many(
+                  {open->contexts.begin(), open->contexts.end()});
+          simulator().schedule_on(
+              sim::kGlobalLane, simulator().now(),
+              [this, open, decisions = std::move(decisions)]() mutable {
+                commit_decisions(open->contexts, std::move(decisions),
+                                 open->epoch);
+              });
+        });
+  }
+  for (AdmissionContext* ctx : batch) {
+    ctx->decision_in_flight = true;
+    open_batch_->contexts.push_back(ctx);
+  }
 }
 
 void AdmissionController::commit_decisions(

@@ -188,9 +188,10 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   /// Stage 3 for a batch of decidable contexts (ready, or past their
   /// deadline): fill late proxies, run one DecisionEngine::decide_many and
   /// retire every context.  Contexts already in flight are skipped.  With
-  /// a shard decision lane configured, evaluation is dispatched to that
-  /// lane and the verdicts commit back on the global lane at the same
-  /// virtual instant (commit_decisions).  The only route to the engine.
+  /// a shard decision lane configured, the contexts join this wave's
+  /// batch, which one lane event decides and one global-lane event commits
+  /// at the same virtual instant (commit_decisions).  The only route to
+  /// the engine.
   void decide_ready(std::vector<AdmissionContext*> batch);
 
   template <typename Fn>
@@ -275,6 +276,16 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   /// decisions dispatched under an older epoch are discarded at commit
   /// and re-decided (commit_decisions).
   std::uint64_t control_epoch_ = 0;
+  /// A sharded domain's decision batch: the contexts readied in one wave
+  /// under one control epoch, shared by its lane event and its commit.
+  struct DecisionBatch {
+    std::uint64_t wave = 0;
+    std::uint64_t epoch = 0;
+    std::vector<AdmissionContext*> contexts;
+  };
+  /// The batch still accepting contexts; a later wave or epoch opens a
+  /// new one (decide_ready).
+  std::shared_ptr<DecisionBatch> open_batch_;
   sim::SimTime last_scheduled_sweep_ = -1;  ///< dedupes per-tick sweeps
   bool compromised_ = false;
 };

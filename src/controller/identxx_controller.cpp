@@ -36,8 +36,11 @@ IdentxxController::IdentxxController(openflow::Topology* topology,
                                      ControllerConfig config)
     : AdmissionController(
           topology,
-          AdmissionPipeline::identxx(std::move(ruleset), std::move(registry)),
-          std::move(config)) {}
+          AdmissionPipeline::identxx(
+              std::move(ruleset),
+              PolicyDecisionEngine::with_key_table_budget(
+                  std::move(registry), config.key_table_budget_bytes)),
+          config) {}
 
 void IdentxxController::set_policy(pf::Ruleset ruleset) {
   replace_engine(std::make_unique<PolicyDecisionEngine>(std::move(ruleset)));

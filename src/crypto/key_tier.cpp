@@ -52,9 +52,10 @@ bool KeyTierStore::reclaim(std::size_t needed, const detail::PointId& keep) {
   return true;
 }
 
-void KeyTierStore::promote(Map::iterator it) {
+void KeyTierStore::promote(Map::iterator it, KeyTier ceiling) {
   Entry& e = it->second;
-  const bool wants_hot = e.count >= config_.hot_after;
+  const bool wants_hot =
+      ceiling == KeyTier::kHot && e.count >= config_.hot_after;
   const bool wants_warm = e.count >= config_.warm_after;
   if (e.tier == KeyTier::kHot || (!wants_warm && !wants_hot)) return;
   if (e.tier == KeyTier::kWarm && !wants_hot) return;
@@ -150,13 +151,13 @@ bool KeyTierStore::contains(const AffinePoint& point) const {
 }
 
 KeyTierStore::Tables KeyTierStore::use(const AffinePoint& point,
-                                       std::uint64_t uses) {
+                                       std::uint64_t uses, KeyTier ceiling) {
   const auto it = keys_.find(detail::point_id(point));
   if (it == keys_.end()) return {};
   Entry& e = it->second;
   e.count += uses;
   if (e.tier != KeyTier::kHot) {
-    promote(it);
+    promote(it, ceiling);
   }
   if (e.tier != KeyTier::kCold) touch_lru(it);
   return Tables{e.tier, e.hot, e.warm};

@@ -46,6 +46,8 @@ struct KeyTierConfig {
   std::uint64_t warm_after = 2;
   /// Verifications before a warm key earns a hot comb table.
   std::uint64_t hot_after = 8;
+
+  bool operator==(const KeyTierConfig&) const = default;
 };
 
 class KeyTierStore {
@@ -92,8 +94,11 @@ class KeyTierStore {
   [[nodiscard]] bool contains(const AffinePoint& point) const;
 
   /// Record `uses` verifications against `point` and return its (possibly
-  /// just-promoted) tables.  Unknown points are cold and stay untracked.
-  Tables use(const AffinePoint& point, std::uint64_t uses = 1);
+  /// just-promoted) tables.  Promotion stops at `ceiling`; a key already
+  /// above it keeps its tables.  Unknown points are cold and stay
+  /// untracked.
+  Tables use(const AffinePoint& point, std::uint64_t uses = 1,
+             KeyTier ceiling = KeyTier::kHot);
 
   /// Current tables without touching counts or recency.
   [[nodiscard]] Tables peek(const AffinePoint& point) const;
@@ -122,7 +127,7 @@ class KeyTierStore {
   /// Evict least-recently-used tables (not `keep`) until `needed` extra
   /// bytes fit.  Returns false (leaving the budget as-is) if impossible.
   bool reclaim(std::size_t needed, const detail::PointId& keep);
-  void promote(Map::iterator it);
+  void promote(Map::iterator it, KeyTier ceiling);
   /// Eager hot build for a key with a fresh Entry, strictly into free
   /// budget (add, reconfigure).
   void seed(Map::iterator it);

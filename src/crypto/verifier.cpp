@@ -323,13 +323,22 @@ std::vector<bool> SchnorrVerifier::verify_batch(
 
   // Snapshot tier tables once for the whole batch (shared_ptrs keep them
   // alive even if touching a later key evicts an earlier one).  Each
-  // registered key's use count advances by its batch multiplicity.
+  // registered key's use count advances by its batch multiplicity, but a
+  // batch earns a key at most a warm table: in the MSM a warm GLV term
+  // costs about what a comb term does, while hot promotions driven by
+  // batch multiplicity churn the budget's comb tables (DESIGN.md §15).
   std::unordered_map<detail::PointId, KeyTierStore::Tables,
                      detail::PointIdHash>
       tables;
   tables.reserve(multiplicity.size());
   for (const auto& [id, uses] : multiplicity) {
-    tables.emplace(id, tiers_.use(detail::point_from(id), uses));
+    tables.emplace(id,
+                   tiers_.use(detail::point_from(id), uses, KeyTier::kWarm));
+  }
+  for (const PendingItem& p : pending) {
+    if (const auto t = tables.find(p.id); t != tables.end()) {
+      count_tier(t->second);
+    }
   }
 
   if (pending.size() == 1) {
@@ -339,7 +348,6 @@ std::vector<bool> SchnorrVerifier::verify_batch(
     const FixedBaseTable* hot =
         t != tables.end() ? t->second.hot.get() : nullptr;
     const GlvTable* warm = t != tables.end() ? t->second.warm.get() : nullptr;
-    if (t != tables.end()) count_tier(t->second);
     const bool ok = verify_tiered(p.item->key, hot, warm, p.e, p.item->sig);
     results[p.index] = ok;
     memo_store(p.memo_key, ok);

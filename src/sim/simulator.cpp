@@ -186,6 +186,7 @@ std::uint64_t Simulator::run_wave(SimTime t) {
   // The wave is every event at exactly `t` queued before it starts, per
   // lane in FIFO sequence order.  Work the wave schedules at `t` carries a
   // later sequence number and runs in the next wave.
+  ++waves_;
   const std::uint64_t wave_end = next_sequence_;
   const auto in_wave = [this, t, wave_end](LaneId lane) {
     const auto& queue = lanes_[lane].queue;

@@ -198,6 +198,9 @@ class Simulator {
   std::uint64_t run(SimTime deadline = -1);
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
+  /// Waves started so far.  Work that must not cross a wave boundary
+  /// (per-wave decision batches, DESIGN.md §10) compares this index.
+  [[nodiscard]] std::uint64_t wave() const noexcept { return waves_; }
   [[nodiscard]] bool idle() const noexcept;
   [[nodiscard]] const SimStats& stats() const noexcept { return stats_; }
 
@@ -258,6 +261,7 @@ class Simulator {
   std::vector<Lane> lanes_;
   SimTime now_ = 0;
   std::uint64_t next_sequence_ = 0;
+  std::uint64_t waves_ = 0;
   std::uint32_t workers_ = 1;
   std::unique_ptr<WorkerPool> pool_;
   ScheduleController* schedule_controller_ = nullptr;

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <limits>
+#include <optional>
 #include <tuple>
 
 #include "controller/admission.hpp"
@@ -438,6 +439,207 @@ TEST(DecideMany, RacedSweepReDecidesWholeBatchInOneCall) {
     allowed += std::get<1>(verdict) ? 1 : 0;
   }
   EXPECT_EQ(allowed, 2u);
+}
+
+/// AdmissionController whose test driver readies admissions directly:
+/// `ready` opens a context for `flow` (buffering its SYN as a packet-in
+/// from s1), attaches `src` as the source daemon's answer and hands it to
+/// decide_ready — the call a daemon response makes once a flow is
+/// decidable.
+class DirectReadyController : public ctrl::AdmissionController {
+ public:
+  using AdmissionController::AdmissionController;
+
+  void ready(sim::NodeId s1, const net::FiveTuple& flow,
+             std::optional<proto::Response> src = std::nullopt) {
+    openflow::PacketIn msg;
+    msg.switch_id = s1;
+    msg.in_port = 1;
+    msg.packet = net::make_tcp_packet(net::MacAddress{1}, net::MacAddress{2},
+                                      flow.src_ip, flow.dst_ip, flow.src_port,
+                                      flow.dst_port);
+    ctrl::AdmissionContext* ctx =
+        collector().begin(flow, msg, simulator().now()).context;
+    ctx->src_response = std::move(src);
+    decide_ready({ctx});
+  }
+};
+
+/// Records every committed verdict with the wave it committed in.
+class CommitObserver : public ctrl::AdmissionObserver {
+ public:
+  explicit CommitObserver(const sim::Simulator& sim) : sim_(&sim) {}
+  void on_decision(const ctrl::DecisionRecord& record,
+                   const ctrl::AdmissionDecision&) override {
+    commits.emplace_back(record.flow, record.allowed, record.time,
+                         sim_->wave());
+  }
+  std::vector<std::tuple<net::FiveTuple, bool, sim::SimTime, std::uint64_t>>
+      commits;
+
+ private:
+  const sim::Simulator* sim_;
+};
+
+struct DirectRun {
+  std::vector<std::size_t> batch_sizes;
+  /// (flow, allowed, time, commit wave - first ready wave).
+  std::vector<std::tuple<net::FiveTuple, bool, sim::SimTime, std::uint64_t>>
+      commits;
+  crypto::SchnorrVerifier::Stats verifier;
+};
+
+/// A switch, six clients and a server behind a DirectReadyController
+/// deciding inline (classic) or on shard lane 1.  `drive` readies flows
+/// from inside the run.
+DirectRun run_direct(
+    bool sharded, ctrl::AdmissionPipeline pipeline,
+    const std::function<void(DirectReadyController&, sim::NodeId)>& drive) {
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& server = net.add_host("server", "10.0.0.9");
+  net.link(server, s1);
+  for (int i = 1; i <= 6; ++i) {
+    net.link(net.add_host("c" + std::to_string(i),
+                          "10.0.0." + std::to_string(i)),
+             s1);
+  }
+  ctrl::ControllerConfig config;
+  if (sharded) {
+    net.simulator().configure_shard_lanes(1);
+    config.decision_lane = 1;
+    config.cookie_namespace = 1;
+  }
+  ctrl::DecisionEngine* engine = pipeline.engine.get();
+  DirectReadyController controller(&net.topology(), std::move(pipeline),
+                                   config);
+  controller.adopt_switch(s1);
+  for (int i = 1; i <= 6; ++i) {
+    const host::Host& h = net.host("c" + std::to_string(i));
+    controller.register_host(h.ip(), h.id(), h.mac());
+  }
+  controller.register_host(server.ip(), server.id(), server.mac());
+  auto observer = std::make_unique<CommitObserver>(net.simulator());
+  CommitObserver* commits = observer.get();
+  controller.add_observer(std::move(observer));
+
+  sim::Simulator& sim = net.simulator();
+  std::uint64_t first_wave = 0;
+  sim.schedule_at(5 * sim::kMicrosecond, [&] {
+    first_wave = sim.wave();
+    drive(controller, s1);
+  });
+  net.run();
+
+  DirectRun run;
+  run.commits = commits->commits;
+  for (auto& commit : run.commits) std::get<3>(commit) -= first_wave;
+  if (auto* fake = dynamic_cast<FakeDecisionEngine*>(engine)) {
+    run.batch_sizes = fake->batch_sizes;
+  }
+  if (auto* policy = dynamic_cast<ctrl::PolicyDecisionEngine*>(engine)) {
+    run.verifier = policy->verifier()->stats();
+  }
+  return run;
+}
+
+TEST(DecideMany, SameInstantWavesFormSeparateBatchesInOrder) {
+  // Two flows readied in one wave and a third readied by a same-instant
+  // follow-up (the next wave) form two shard batches.  Each batch commits
+  // two waves after it opened, so the commit order and commit waves are
+  // those of one lane event per flow; the verdicts equal the classic
+  // inline run's.
+  const net::FiveTuple fa = make_flow(0x0a000001, 0x0a000009, 80);
+  const net::FiveTuple fb = make_flow(0x0a000002, 0x0a000009, 23);
+  const net::FiveTuple fc = make_flow(0x0a000003, 0x0a000009, 80);
+  const auto run = [&](bool sharded) {
+    ctrl::AdmissionPipeline pipeline;
+    pipeline.engine = std::make_unique<FakeDecisionEngine>(23);
+    return run_direct(sharded, std::move(pipeline),
+                      [&](DirectReadyController& c, sim::NodeId s1) {
+                        c.ready(s1, fa);
+                        c.ready(s1, fb);
+                        c.simulator().schedule_after(
+                            0, [&c, s1, &fc] { c.ready(s1, fc); });
+                      });
+  };
+  const DirectRun classic = run(false);
+  const DirectRun sharded = run(true);
+  EXPECT_EQ(classic.batch_sizes, (std::vector<std::size_t>{1, 1, 1}));
+  EXPECT_EQ(sharded.batch_sizes, (std::vector<std::size_t>{2, 1}));
+
+  const sim::SimTime t = 5 * sim::kMicrosecond;
+  using Commit = std::tuple<net::FiveTuple, bool, sim::SimTime, std::uint64_t>;
+  EXPECT_EQ(classic.commits, (std::vector<Commit>{{fa, true, t, 0},
+                                                  {fb, false, t, 0},
+                                                  {fc, true, t, 1}}));
+  EXPECT_EQ(sharded.commits, (std::vector<Commit>{{fa, true, t, 2},
+                                                  {fb, false, t, 2},
+                                                  {fc, true, t, 3}}));
+}
+
+TEST(DecideMany, ForgedAttestationIsBisectedOutOfACoalescedBatch) {
+  // Six flows ready in one wave, each carrying its own signed attestation;
+  // one signature is forged.  The shard batch verifies all six in one
+  // verify_batch: the aggregate fails, bisection isolates the forgery, so
+  // exactly that flow is blocked — the verdicts per-flow verification
+  // (classic, one decide_many of one per flow) gives.
+  const crypto::PrivateKey vendor = crypto::PrivateKey::from_seed("vendor");
+  const std::string policy =
+      "dict <pubkeys> { vendor : " + vendor.public_key().to_hex() + " }\n"
+      "block all\n"
+      "pass all with verify(@src[req-sig], @pubkeys[vendor], "
+      "@src[exe-hash], @src[app-name], @src[requirements])\n";
+  constexpr int kForged = 3;
+  std::vector<net::FiveTuple> flows;
+  std::vector<proto::Response> attestations;
+  for (int i = 1; i <= 6; ++i) {
+    flows.push_back(make_flow(0x0a000000u + static_cast<std::uint32_t>(i),
+                              0x0a000009, 443));
+    const std::string exe_hash(64, static_cast<char>('a' + i));
+    const std::string app = "app-" + std::to_string(i);
+    const std::string requirements = "block all pass all";
+    const std::string signed_app = i == kForged ? app + "-tampered" : app;
+    proto::Section section;
+    section.add("exe-hash", exe_hash);
+    section.add("app-name", app);
+    section.add("requirements", requirements);
+    section.add("req-sig",
+                vendor.sign(proto::signed_message({exe_hash, signed_app,
+                                                   requirements}))
+                    .to_hex());
+    proto::Response response;
+    response.append_section(section);
+    attestations.push_back(std::move(response));
+  }
+  const auto run = [&](bool sharded) {
+    ctrl::AdmissionPipeline pipeline;
+    pipeline.engine = std::make_unique<ctrl::PolicyDecisionEngine>(
+        pf::parse(policy, "attest"));
+    return run_direct(sharded, std::move(pipeline),
+                      [&](DirectReadyController& c, sim::NodeId s1) {
+                        for (std::size_t i = 0; i < flows.size(); ++i) {
+                          c.ready(s1, flows[i], attestations[i]);
+                        }
+                      });
+  };
+  const DirectRun classic = run(false);
+  const DirectRun sharded = run(true);
+
+  ASSERT_EQ(sharded.commits.size(), flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(std::get<0>(sharded.commits[i]), flows[i]);
+    EXPECT_EQ(std::get<1>(sharded.commits[i]), i + 1 != kForged)
+        << "flow " << i + 1;
+    EXPECT_EQ(std::get<0>(classic.commits[i]), std::get<0>(sharded.commits[i]));
+    EXPECT_EQ(std::get<1>(classic.commits[i]), std::get<1>(sharded.commits[i]));
+  }
+  // Per-flow verification: no batch at all.  Coalesced: one batch, one
+  // rejected aggregate, the five honest items settled by RLC checks.
+  EXPECT_EQ(classic.verifier.batch_calls, 0u);
+  EXPECT_EQ(sharded.verifier.batch_calls, 1u);
+  EXPECT_EQ(sharded.verifier.batch_rejects, 1u);
+  EXPECT_EQ(sharded.verifier.batch_items, flows.size() - 1);
 }
 
 // ---------------------------------------------------------------- revocation

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/ec.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/key_tier.hpp"
@@ -1182,6 +1184,81 @@ TEST(SchnorrVerifier, MemoAndGenerationsSurviveTierChurn) {
   const std::uint64_t misses_before = verifier.stats().memo_misses;
   EXPECT_TRUE(verifier.verify(b.public_key(), "beta-0", b.sign("beta-0")));
   EXPECT_EQ(verifier.stats().memo_misses, misses_before + 1);
+}
+
+TEST(SchnorrVerifier, ZipfBatchesStayWarmWithoutTableChurn) {
+  // A fleet shard's decide_many batches: 16 Zipf-popular vendor keys under
+  // a 4-hot + 8-warm budget, 16 attestations per verify_batch, 4096 items.
+  // Batch multiplicity advances use counts fast; if it also earned hot
+  // tables, the 4 comb slots would evict and rebuild each other all run
+  // long.  A batch earns at most a warm table, so demotions stay within
+  // the key count, and every verdict still equals the stateless
+  // crypto::verify.  Each key signs a ring of 16 claims (every 37th one
+  // forged, to keep bisection in the mix); a one-entry memo makes every
+  // item reach the tier store.
+  constexpr std::size_t kKeys = 16;
+  constexpr std::size_t kRing = 16;
+  constexpr std::size_t kBatch = 16;
+  constexpr std::size_t kItems = 4096;
+  KeyTierConfig config;
+  config.table_budget_bytes = 4 * KeyTierStore::hot_table_bytes() +
+                              8 * KeyTierStore::warm_table_bytes();
+  SchnorrVerifier verifier(/*memo_capacity=*/1, config);
+  const auto keys = key_pool(kKeys, "zipf-vendor-");
+  struct Claim {
+    std::string message;
+    Signature sig;
+    bool valid;
+  };
+  std::vector<std::vector<Claim>> rings(kKeys);
+  std::vector<double> cumulative;
+  double total = 0;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    verifier.register_key(keys[k].public_key());
+    for (std::size_t j = 0; j < kRing; ++j) {
+      Claim claim{"claim-" + std::to_string(k) + "-" + std::to_string(j),
+                  {}, true};
+      claim.sig = keys[k].sign(claim.message);
+      if ((k * kRing + j) % 37 == 5) claim.message += "!";
+      claim.valid =
+          verify(keys[k].public_key(), claim.message, claim.sig);
+      rings[k].push_back(std::move(claim));
+    }
+    total += 1.0 / static_cast<double>(k + 1);
+    cumulative.push_back(total);
+  }
+
+  util::SplitMix64 rng(211);
+  std::vector<std::size_t> next(kKeys, 0);
+  for (std::size_t base = 0; base < kItems; base += kBatch) {
+    std::vector<SchnorrVerifier::BatchItem> items;
+    std::vector<bool> expected;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const auto k = std::min(
+          static_cast<std::size_t>(
+              std::lower_bound(cumulative.begin(), cumulative.end(),
+                               rng.next_double() * total) -
+              cumulative.begin()),
+          kKeys - 1);
+      const Claim& claim = rings[k][next[k]++ % kRing];
+      items.push_back({keys[k].public_key(), claim.message, claim.sig});
+      expected.push_back(claim.valid);
+    }
+    ASSERT_EQ(verifier.verify_batch(items), expected) << "batch at " << base;
+  }
+
+  const KeyTierStore& tiers = verifier.tiers();
+  EXPECT_LE(tiers.stats().demotions, kKeys);
+  EXPECT_LE(tiers.table_bytes(), config.table_budget_bytes);
+  const auto& stats = verifier.stats();
+  EXPECT_GT(stats.batch_items, 0u);
+  EXPECT_GT(stats.batch_rejects, 0u);
+  // Every item that reached group arithmetic counts under the tier that
+  // served it.
+  EXPECT_EQ(stats.table_verifications + stats.warm_verifications +
+                stats.cold_verifications,
+            stats.memo_misses);
+  EXPECT_GT(stats.warm_verifications, stats.cold_verifications);
 }
 
 // ------------------------------------------------- GLV endomorphism

@@ -407,6 +407,93 @@ TEST(ShardedScenario, IdenticalSeedsReplayIdentically) {
   EXPECT_TRUE(scenario.run(b).equivalent_to(first));
 }
 
+// ------------------------------------------------------- per-wave batching
+
+/// PolicyDecisionEngine that records the size of every decide_many batch.
+class BatchRecordingEngine final : public ctrl::PolicyDecisionEngine {
+ public:
+  using PolicyDecisionEngine::PolicyDecisionEngine;
+
+  std::vector<ctrl::AdmissionDecision> decide_many(
+      const std::vector<const ctrl::AdmissionContext*>& batch) override {
+    batch_sizes.push_back(batch.size());
+    return PolicyDecisionEngine::decide_many(batch);
+  }
+
+  std::vector<std::size_t> batch_sizes;
+};
+
+struct BurstRun {
+  std::vector<std::size_t> batch_sizes;
+  std::vector<bool> delivered;
+  std::vector<ctrl::DecisionRecord> audit;
+  ctrl::ControllerStats stats;
+};
+
+/// Eight clients on one switch open a flow each at t=0; every flow's
+/// responses arrive at one instant.  Decided by the classic inline
+/// controller, or by a one-domain sharded controller.
+BurstRun run_burst(bool sharded) {
+  constexpr const char* kPolicy =
+      "block all\n"
+      "pass from any to any port 80 with eq(@src[userID], alice)\n";
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& server = net.add_host("server", "10.0.1.1");
+  net.link(server, s1);
+  std::vector<host::Host*> clients;
+  for (int i = 0; i < 8; ++i) {
+    clients.push_back(&net.add_host("c" + std::to_string(i),
+                                    "10.0.0." + std::to_string(i + 1)));
+    net.link(*clients.back(), s1);
+  }
+  auto engine =
+      std::make_unique<BatchRecordingEngine>(pf::parse(kPolicy, "burst"));
+  BatchRecordingEngine* recorder = engine.get();
+  BurstRun run;
+  ctrl::IdentxxController& decider =
+      sharded ? net.install_sharded_controller(kPolicy, 1).domain(0)
+              : net.install_controller(kPolicy);
+  decider.replace_engine(std::move(engine));
+  server.add_user("www", "daemons");
+  server.listen(server.launch("www", "/usr/sbin/httpd"), 80);
+  std::vector<core::FlowHandle> handles;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    clients[i]->add_user(i % 2 == 0 ? "alice" : "bob", "staff");
+    const int pid = clients[i]->launch(i % 2 == 0 ? "alice" : "bob",
+                                       "/usr/bin/curl");
+    handles.push_back(net.start_flow(*clients[i], pid, "10.0.1.1", 80));
+  }
+  net.run();
+
+  run.batch_sizes = recorder->batch_sizes;
+  for (const auto& handle : handles) {
+    run.delivered.push_back(net.flow_delivered(handle));
+  }
+  // The domain's own log is in commit order, like the classic one.
+  run.audit.assign(decider.audit_log().begin(), decider.audit_log().end());
+  run.stats = decider.stats();
+  return run;
+}
+
+TEST(PerWaveBatch, SameInstantFlowsDecideInOneDecideMany) {
+  // Classic: each response decides its flow inline, one batch of one per
+  // flow.  One sharded domain: all eight flows become ready in one wave
+  // and decide in ONE decide_many on the shard lane, with the same
+  // verdicts, audit log and stats.
+  const BurstRun classic = run_burst(false);
+  const BurstRun sharded = run_burst(true);
+  EXPECT_EQ(classic.batch_sizes, std::vector<std::size_t>(8, 1));
+  EXPECT_EQ(sharded.batch_sizes, (std::vector<std::size_t>{8}));
+  EXPECT_EQ(sharded.delivered, classic.delivered);
+  EXPECT_EQ(std::count(classic.delivered.begin(), classic.delivered.end(),
+                       true),
+            4);
+  ASSERT_EQ(classic.audit.size(), 8u);
+  EXPECT_EQ(sharded.audit, classic.audit);
+  EXPECT_EQ(sharded.stats, classic.stats);
+}
+
 // --------------------------------------------------------------- partition
 
 TEST(ShardedNetwork, FlowsPartitionAcrossDomainsAndAggregate) {

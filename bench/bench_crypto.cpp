@@ -5,8 +5,7 @@
 //
 // The fast-path flavours (DESIGN.md §9): BM_SchnorrVerifierHotKey (a
 // registered key's comb table, no doubling chain), BM_SchnorrVerifyColdKeys
-// (stateless verify() — the no-precomputation floor), BM_EcMulAdd* (fused
-// Shamir double-scalar vs two full multiplications), BM_ScalarReduce*
+// (stateless verify() — the no-precomputation floor), BM_ScalarReduce*
 // (folding reduction mod n vs binary long division),
 // BM_SchnorrVerifierMemoHit (the controller-layer verification memo), and
 // BM_SchnorrBatchVerify / BM_SchnorrBatchVerifyTiered (batch verification,
@@ -335,36 +334,6 @@ void BM_SchnorrVerifierMemoHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerifierMemoHit);
-
-/// Fused a*G + b*P (one Shamir-interleaved wNAF pass) ...
-void BM_EcMulAdd(benchmark::State& state) {
-  const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  const crypto::AffinePoint p = key.public_key().point;
-  const crypto::U256 a = crypto::hash_to_scalar(
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("a"), 1));
-  const crypto::U256 b = crypto::hash_to_scalar(
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("b"), 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::ec_mul_add(a, b, p));
-  }
-}
-BENCHMARK(BM_EcMulAdd);
-
-/// ... versus the pre-fusion shape: two full multiplications plus an add.
-void BM_EcMulAddTwoMuls(benchmark::State& state) {
-  const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  const crypto::AffinePoint p = key.public_key().point;
-  const crypto::U256 a = crypto::hash_to_scalar(
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("a"), 1));
-  const crypto::U256 b = crypto::hash_to_scalar(
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("b"), 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        crypto::ec_add(crypto::ec_mul(a, crypto::AffinePoint::generator()),
-                       crypto::ec_mul(b, p)));
-  }
-}
-BENCHMARK(BM_EcMulAddTwoMuls);
 
 /// Scalar reduction mod n: specialized folding vs generic long division.
 void BM_ScalarReduceFast(benchmark::State& state) {

@@ -318,8 +318,6 @@ class NoQueryPlanner : public QueryPlanner {
 /// stable in memory until erase().
 class ResponseCollector {
  public:
-  virtual ~ResponseCollector() = default;
-
   struct BeginResult {
     AdmissionContext* context = nullptr;
     bool inserted = false;  ///< false: decision already in flight
@@ -327,8 +325,8 @@ class ResponseCollector {
 
   /// Start (or join) the pending entry for `flow`; `msg` is buffered either
   /// way.
-  virtual BeginResult begin(const net::FiveTuple& flow,
-                            const openflow::PacketIn& msg, sim::SimTime now);
+  BeginResult begin(const net::FiveTuple& flow, const openflow::PacketIn& msg,
+                    sim::SimTime now);
 
   [[nodiscard]] AdmissionContext* find(const net::FiveTuple& flow);
 
@@ -339,10 +337,10 @@ class ResponseCollector {
   /// already filled (a duplicated channel delivery, or a retry's answer
   /// crossing the original) is NOT applied — first answer wins — and is
   /// flagged through `duplicate` when the caller asks (DESIGN.md §14).
-  virtual AdmissionContext* accept_response(net::Ipv4Address responder,
-                                            net::Ipv4Address peer,
-                                            const proto::Response& response,
-                                            bool* duplicate = nullptr);
+  AdmissionContext* accept_response(net::Ipv4Address responder,
+                                    net::Ipv4Address peer,
+                                    const proto::Response& response,
+                                    bool* duplicate = nullptr);
 
   /// Both sides answered (or were never asked)?
   [[nodiscard]] static bool ready(const AdmissionContext& ctx) noexcept {
@@ -377,7 +375,7 @@ class ResponseCollector {
   /// the matching queue entries.
   [[nodiscard]] std::vector<AdmissionContext*> expired(sim::SimTime now);
 
-  virtual void erase(const net::FiveTuple& flow);
+  void erase(const net::FiveTuple& flow);
 
   [[nodiscard]] std::size_t pending_count() const noexcept {
     return pending_.size();

@@ -1,6 +1,5 @@
 #include "core/scenario.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -513,10 +512,6 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
   // Expand $pubkey(<seed>) references in the policy so <pubkeys> dicts can
   // name signing keys symbolically.
   const std::string policy = expand_pubkeys(policy_);
-  // Controller flavour: classic single controller, or sharded admission
-  // domains (DESIGN.md §10).  Identical seeds replay identically at any
-  // shard count: every domain draws from its own seed-derived RNG stream,
-  // so no draw order ever crosses a shard boundary.
   // Robustness policy (DESIGN.md §14): `fault retry` directives fill in
   // controller knobs the caller left at their defaults, so CLI/test
   // overrides always win.  The jitter stream seed defaults off the
@@ -547,38 +542,29 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
   if (config.retry_jitter_seed == 0) {
     config.retry_jitter_seed = seed ^ 0x2545f4914f6cdd1dULL;
   }
-  ctrl::IdentxxController* classic = nullptr;
-  ctrl::ShardedAdmissionController* sharded = nullptr;
-  if (options.shards == 0) {
-    classic = &net.install_controller(policy, config);
-    if (seed != 0) {
-      // Same derivation as sharded domain 0, so classic and 1-shard runs
-      // draw identical streams.
-      util::SplitMix64 derive(seed ^ 0x9e3779b97f4a7c15ULL);
-      classic->seed_query_ports(derive.next());
-    }
-  } else {
-    sharded = &net.install_sharded_controller(policy, options.shards,
-                                              options.workers, config);
-    if (seed != 0) sharded->seed_query_ports(seed);
-  }
+  // One controller type: sharded admission domains (DESIGN.md §10); the
+  // default single shard is the paper's one ident++ controller.  Identical
+  // seeds replay identically at any shard count: every domain draws from
+  // its own seed-derived RNG stream, so no draw order ever crosses a shard
+  // boundary.
+  ctrl::ShardedAdmissionController& controller = net.install_sharded_controller(
+      policy, options.shards, options.workers, config);
+  if (seed != 0) controller.seed_query_ports(seed);
 
-  // Endpoint pins: shard placement for sharded runs (the shard-count
-  // invariant must hold under any placement, so MC scenarios pin hosts to
-  // make cross-shard races reproducible).  No-op for classic runs.
-  if (sharded != nullptr) {
-    for (const PinDecl& decl : pins_) {
-      bool found = false;
-      for (const auto& host : hosts_) {
-        if (host.name != decl.host) continue;
-        const auto ip = net::Ipv4Address::parse(host.ip);
-        if (!ip) throw Error("pin: bad ip for host '" + decl.host + "'");
-        sharded->shard_map().pin_endpoint(*ip, decl.shard);
-        found = true;
-        break;
-      }
-      if (!found) throw Error("pin references unknown host '" + decl.host + "'");
+  // Endpoint pins: shard placement (the shard-count invariant must hold
+  // under any placement, so MC scenarios pin hosts to make cross-shard
+  // races reproducible).
+  for (const PinDecl& decl : pins_) {
+    bool found = false;
+    for (const auto& host : hosts_) {
+      if (host.name != decl.host) continue;
+      const auto ip = net::Ipv4Address::parse(host.ip);
+      if (!ip) throw Error("pin: bad ip for host '" + decl.host + "'");
+      controller.shard_map().pin_endpoint(*ip, decl.shard);
+      found = true;
+      break;
     }
+    if (!found) throw Error("pin references unknown host '" + decl.host + "'");
   }
 
   // Schedule exploration (DESIGN.md §13): dictated shard-lane order and
@@ -594,34 +580,18 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
     std::function<void()> apply;
     switch (decl.op) {
       case ControlDecl::Op::kRevokeAll:
-        apply = [classic, sharded] {
-          if (sharded != nullptr) {
-            (void)sharded->revoke_all();
-          } else {
-            (void)classic->revoke_all();
-          }
-        };
+        apply = [ctl = &controller] { (void)ctl->revoke_all(); };
         break;
       case ControlDecl::Op::kRevokePort:
-        apply = [classic, sharded, port = decl.port] {
-          const auto pred = [port](const net::FiveTuple& flow) {
+        apply = [ctl = &controller, port = decl.port] {
+          (void)ctl->revoke_if([port](const net::FiveTuple& flow) {
             return flow.dst_port == port;
-          };
-          if (sharded != nullptr) {
-            (void)sharded->revoke_if(pred);
-          } else {
-            (void)classic->revoke_if(pred);
-          }
+          });
         };
         break;
       case ControlDecl::Op::kSetPolicy:
-        apply = [classic, sharded, rules = expand_pubkeys(decl.policy)] {
-          pf::Ruleset ruleset = pf::parse(rules, "control");
-          if (sharded != nullptr) {
-            sharded->set_policy(std::move(ruleset));
-          } else {
-            classic->set_policy(std::move(ruleset));
-          }
+        apply = [ctl = &controller, rules = expand_pubkeys(decl.policy)] {
+          ctl->set_policy(pf::parse(rules, "control"));
         };
         break;
       case ControlDecl::Op::kSetMultipath:
@@ -633,13 +603,8 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
       net.simulator().schedule_at(decl.at, std::move(apply));
     } else {
       auto shared = std::make_shared<std::function<void()>>(std::move(apply));
-      if (sharded != nullptr) {
-        for (std::uint32_t i = 0; i < sharded->shard_count(); ++i) {
-          sharded->domain(i).add_observer(std::make_unique<RacedControlHook>(
-              net.simulator(), decl.at, shared));
-        }
-      } else {
-        classic->add_observer(std::make_unique<RacedControlHook>(
+      for (std::uint32_t i = 0; i < controller.shard_count(); ++i) {
+        controller.domain(i).add_observer(std::make_unique<RacedControlHook>(
             net.simulator(), decl.at, shared));
       }
     }
@@ -780,22 +745,11 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
         hosts.at(decl.name)->stats().ident_queries_ignored;
   }
   result.path_cache_stats = net.topology().path_cache_stats();
-  if (sharded != nullptr) {
-    result.controller_stats = sharded->aggregated_stats();
-    for (std::uint32_t i = 0; i < sharded->shard_count(); ++i) {
-      result.domain_stats.push_back(sharded->domain(i).stats());
-    }
-    result.audit_log = sharded->merged_audit_log();
-  } else {
-    result.controller_stats = classic->stats();
-    result.domain_stats.push_back(classic->stats());
-    result.audit_log.assign(classic->audit_log().begin(),
-                            classic->audit_log().end());
-    // Same canonical order as merged sharded logs, so results compare
-    // across run configurations.
-    std::sort(result.audit_log.begin(), result.audit_log.end(),
-              ctrl::audit_record_before);
+  result.controller_stats = controller.aggregated_stats();
+  for (std::uint32_t i = 0; i < controller.shard_count(); ++i) {
+    result.domain_stats.push_back(controller.domain(i).stats());
   }
+  result.audit_log = controller.merged_audit_log();
   return result;
 }
 
@@ -833,6 +787,7 @@ bool parse_scenario_flag(std::span<const std::string_view> args,
 
   if (flag == "--shards") {
     options.shards = u32();
+    if (options.shards == 0) throw bad("must be >= 1 (1 = one controller)");
   } else if (flag == "--seed") {
     options.seed = count();
   } else if (flag == "--src-only") {

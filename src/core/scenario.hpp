@@ -36,13 +36,12 @@
 // a cross-shard control operation mid-run.  Ops: `revoke_all`,
 // `revoke_port <port>`, `set_policy "<rules>"` ($pubkey expansion
 // applies), `set_multipath <k> [seed]`.  Plain ops fire on the global
-// lane at the given virtual time, before that instant's admission work —
-// classic and sharded runs stay comparable.  `raced` ops instead arm on
-// the first daemon response at-or-after the given time and fire two
-// global-lane waves later — between a sharded decision's shard-lane
-// dispatch and its global-lane commit, the control-epoch re-decision
-// window (raced scenarios are for exercising sharded commit ordering;
-// classic runs decide inline, so the op lands after the decision).
+// lane at the given virtual time, before that instant's admission work.
+// `raced` ops instead arm on the first daemon response at-or-after the
+// given time and fire two global-lane waves later — between a decision's
+// shard-lane dispatch and its global-lane commit, the control-epoch
+// re-decision window.  Every run decides on shard lanes (one shard by
+// default), so both kinds give the same result at any shard count.
 //
 // Traffic models (src/net/traffic): single (default), cbr, onoff,
 // pareto, aimd — `traffic <flow-id> <model> [key=value ...]` attaches a
@@ -117,10 +116,9 @@ struct ScenarioFaultStats {
 
 struct ScenarioResult {
   std::vector<ScenarioFlowResult> flows;
-  /// Aggregate over all admission domains (a single controller's stats
-  /// verbatim for unsharded runs).
+  /// Aggregate over all admission domains.
   ctrl::ControllerStats controller_stats;
-  /// Per-domain breakdown; one entry for unsharded runs.
+  /// Per-domain breakdown; one entry per shard.
   std::vector<ctrl::ControllerStats> domain_stats;
   /// Canonically ordered (audit_record_before) so the log is comparable
   /// across shard counts.
@@ -164,9 +162,9 @@ struct ScenarioResult {
 /// Knobs for Scenario::run.
 struct ScenarioOptions {
   ctrl::ControllerConfig config;
-  /// 0 = classic single controller; >= 1 = sharded admission domains.
-  std::uint32_t shards = 0;
-  /// Real parallelism for sharded runs (1 = serial; results identical).
+  /// Admission domains (DESIGN.md §10); 1 = the paper's one controller.
+  std::uint32_t shards = 1;
+  /// Real parallelism across shard lanes (1 = serial; results identical).
   std::uint32_t workers = 1;
   /// Seed for the deterministic per-domain RNG streams (query ephemeral
   /// ports).  0 falls back to the scenario file's `seed` directive (or 0).
@@ -211,7 +209,7 @@ inline constexpr const char* kScenarioFlagUsage =
 /// flag (does not start with '-').  Throws ParseError for an unknown
 /// flag, a missing value or an out-of-range value.
 ///
-///   --shards N           admission domains (ScenarioOptions::shards)
+///   --shards N           admission domains, N >= 1 (ScenarioOptions::shards)
 ///   --seed S             RNG seed, overriding the file's `seed` line
 ///   --src-only           query only the source daemon (the §6 ablation)
 ///   --traffic MODEL      override every flow's traffic model

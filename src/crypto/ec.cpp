@@ -251,17 +251,6 @@ std::array<AffinePoint, 8> odd_multiples_common_z(const AffinePoint& p,
 std::array<AffinePoint, 8> endo_table_affine(
     const std::array<AffinePoint, 8>& tab) noexcept;
 
-/// Shared affine odd multiples {1G, 3G, ..., 15G} for the Shamir pass.
-const std::array<AffinePoint, 8>& generator_odd_multiples() {
-  static const std::array<AffinePoint, 8> tab = [] {
-    const auto jac = odd_multiples(AffinePoint::generator());
-    std::array<AffinePoint, 8> affine;
-    batch_normalize(jac.data(), affine.data(), jac.size());
-    return affine;
-  }();
-  return tab;
-}
-
 // ---- GLV internals ----
 
 /// GLV constants: beta, lambda and the lattice basis (a1, b1), (a2, b2)
@@ -849,26 +838,6 @@ JacobianPoint ec_add_mixed(const JacobianPoint& p, const AffinePoint& q) noexcep
   return JacobianPoint{x3, y3, z3};
 }
 
-JacobianPoint ec_mul(const U256& k, const AffinePoint& p) noexcept {
-  if (p.infinity) return JacobianPoint::identity();
-  const U256 kr = sn_reduce(k);
-  if (kr.is_zero()) return JacobianPoint::identity();
-  const std::array<JacobianPoint, 8> tab = odd_multiples(p);
-  std::array<std::int8_t, 258> digits;
-  const unsigned len = wnaf(kr, 5, digits);
-  JacobianPoint acc = JacobianPoint::identity();
-  for (int i = static_cast<int>(len) - 1; i >= 0; --i) {
-    acc = ec_double(acc);
-    const int d = digits[static_cast<std::size_t>(i)];
-    if (d > 0) {
-      acc = ec_add(acc, tab[static_cast<std::size_t>((d - 1) / 2)]);
-    } else if (d < 0) {
-      acc = ec_add(acc, ec_negate(tab[static_cast<std::size_t>((-d - 1) / 2)]));
-    }
-  }
-  return acc;
-}
-
 JacobianPoint ec_mul_naive(const U256& k, const AffinePoint& p) noexcept {
   JacobianPoint acc = JacobianPoint::identity();
   const JacobianPoint base = JacobianPoint::from_affine(p);
@@ -921,41 +890,6 @@ const FixedBaseTable& FixedBaseTable::generator() {
 
 JacobianPoint ec_mul_base(const U256& k) noexcept {
   return FixedBaseTable::generator().mul(k);
-}
-
-JacobianPoint ec_mul_add(const U256& a, const U256& b,
-                         const AffinePoint& p) noexcept {
-  if (p.infinity || sn_reduce(b).is_zero()) return ec_mul_base(a);
-  const U256 ar = sn_reduce(a);
-  const U256 br = sn_reduce(b);
-  if (ar.is_zero()) return ec_mul(br, p);
-
-  const std::array<AffinePoint, 8>& g_tab = generator_odd_multiples();
-  const std::array<JacobianPoint, 8> p_tab = odd_multiples(p);
-  std::array<std::int8_t, 258> da;
-  std::array<std::int8_t, 258> db;
-  const unsigned la = wnaf(ar, 5, da);
-  const unsigned lb = wnaf(br, 5, db);
-  const unsigned len = la > lb ? la : lb;
-
-  JacobianPoint acc = JacobianPoint::identity();
-  for (int i = static_cast<int>(len) - 1; i >= 0; --i) {
-    acc = ec_double(acc);
-    const std::size_t idx = static_cast<std::size_t>(i);
-    if (idx < la && da[idx] != 0) {
-      const int d = da[idx];
-      acc = d > 0 ? ec_add_mixed(acc, g_tab[static_cast<std::size_t>((d - 1) / 2)])
-                  : ec_add_mixed(
-                        acc, ec_negate(g_tab[static_cast<std::size_t>((-d - 1) / 2)]));
-    }
-    if (idx < lb && db[idx] != 0) {
-      const int d = db[idx];
-      acc = d > 0 ? ec_add(acc, p_tab[static_cast<std::size_t>((d - 1) / 2)])
-                  : ec_add(acc,
-                           ec_negate(p_tab[static_cast<std::size_t>((-d - 1) / 2)]));
-    }
-  }
-  return acc;
 }
 
 JacobianPoint ec_mul_add(const U256& a, const U256& b,

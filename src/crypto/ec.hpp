@@ -13,11 +13,12 @@
 // Performance model (DESIGN.md §9): signature verification sits on the
 // flow-setup hot path, so scalar multiplication is precomputation-heavy:
 // both moduli reduce by folding against 2^256 - modulus (no division),
-// variable-base multiplication is width-5 wNAF, fixed bases (G, and any
-// long-lived public key) use a 4-bit windowed comb table that eliminates
-// the doubling chain entirely, and Schnorr's s*G - e*P is one fused
-// double-scalar pass.  The textbook double-and-add survives as
-// `ec_mul_naive`, the oracle the differential tests compare against.
+// variable-base multiplication is GLV-split width-5 wNAF (`ec_mul_glv`),
+// fixed bases (G, and any long-lived public key) use a 4-bit windowed comb
+// table that eliminates the doubling chain entirely, and Schnorr's
+// s*G - e*P is one fused double-scalar pass.  The textbook double-and-add
+// survives as `ec_mul_naive`, the oracle the differential tests compare
+// against.
 
 #include <array>
 #include <deque>
@@ -105,11 +106,6 @@ struct JacobianPoint {
 [[nodiscard]] JacobianPoint ec_add_mixed(const JacobianPoint& p,
                                          const AffinePoint& q) noexcept;
 
-/// Scalar multiplication k * P.  Width-5 wNAF over Jacobian odd multiples;
-/// k is reduced mod n first (sound: the curve group has prime order n, so
-/// k*P == (k mod n)*P for every on-curve P).
-[[nodiscard]] JacobianPoint ec_mul(const U256& k, const AffinePoint& p) noexcept;
-
 /// Textbook MSB-first double-and-add.  Slow; retained as the oracle the
 /// differential tests check the optimized paths against.
 [[nodiscard]] JacobianPoint ec_mul_naive(const U256& k,
@@ -133,7 +129,7 @@ class FixedBaseTable {
 
   explicit FixedBaseTable(const AffinePoint& base);
 
-  /// k * base (k reduced mod n, as in ec_mul).
+  /// k * base, k reduced mod n first (sound: the group has prime order n).
   [[nodiscard]] JacobianPoint mul(const U256& k) const noexcept;
 
   [[nodiscard]] const AffinePoint& base() const noexcept { return base_; }
@@ -157,12 +153,6 @@ class FixedBaseTable {
   AffinePoint base_;
   std::array<std::array<AffinePoint, kEntries>, kWindows> table_;
 };
-
-/// Fused double-scalar multiplication a*G + b*P in ONE Shamir-interleaved
-/// wNAF pass: a single doubling chain serves both scalars (G's odd
-/// multiples are a shared precomputed affine set; P's are built per call).
-[[nodiscard]] JacobianPoint ec_mul_add(const U256& a, const U256& b,
-                                       const AffinePoint& p) noexcept;
 
 /// a*G + b*P with a precomputed table for P: two comb walks, no doubling
 /// chain at all (at most 128 mixed additions total).

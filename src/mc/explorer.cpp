@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace identxx::mc {
@@ -199,9 +198,6 @@ std::string Report::summary() const {
 
 Explorer::Explorer(const core::Scenario& scenario, ExplorerOptions options)
     : scenario_(&scenario), options_(std::move(options)) {
-  if (options_.scenario.shards == 0) {
-    throw Error("mc::Explorer: scenario.shards must be >= 1");
-  }
   // Exploration is serial by construction: the dictated order IS the
   // execution order, no worker pool involved.
   options_.scenario.workers = 1;

@@ -24,23 +24,25 @@ using core::Scenario;
 using core::ScenarioOptions;
 using core::ScenarioResult;
 
-/// Run `scenario` classic and at every shard/worker combination, assert
-/// equivalence, and hand back the classic result.
+/// Run `scenario` on one shard and at every shard/worker combination,
+/// assert equivalence, and hand back the one-shard result.
 ScenarioResult assert_invariant_across_configs(const Scenario& scenario,
                                                ScenarioOptions base = {}) {
-  ScenarioOptions classic = base;
-  classic.shards = 0;
-  const ScenarioResult reference = scenario.run(classic);
+  ScenarioOptions one_shard = base;
+  one_shard.shards = 1;
+  one_shard.workers = 1;
+  const ScenarioResult reference = scenario.run(one_shard);
   const std::uint32_t hw = sim::WorkerPool::hardware_workers();
   for (const std::uint32_t shards : {1u, 4u}) {
     for (const std::uint32_t workers : {1u, hw}) {
+      if (shards == 1 && workers == 1) continue;  // the reference itself
       ScenarioOptions opts = base;
       opts.shards = shards;
       opts.workers = workers;
       const ScenarioResult result = scenario.run(opts);
       EXPECT_TRUE(result.equivalent_to(reference))
           << shards << " shard(s) x " << workers
-          << " worker(s) diverges from the classic run";
+          << " worker(s) diverges from the one-shard run";
     }
   }
   return reference;
@@ -118,7 +120,7 @@ traffic f2 cbr packets=16 rate=2000
 
 TEST(FaultDeterminism, ChannelFaultsAreShardAndWorkerInvariant) {
   // Heavy loss/dup/delay on every control channel: injections draw on the
-  // global lane from per-switch streams, so the classic run and every
+  // global lane from per-switch streams, so the one-shard run and every
   // shard/worker combination must agree bit for bit — faults included.
   const Scenario scenario = Scenario::parse(kFaultyMeshScenario);
   const ScenarioResult reference = assert_invariant_across_configs(scenario);
@@ -366,10 +368,10 @@ expect f1 delivered
 
 TEST(FaultRaces, TimeoutCoincidingWithControlEpochBumpIsWorkerInvariant) {
   // A revoke_all lands at the same virtual instant as the timeout sweep:
-  // in sharded runs the timeout verdict is dispatched to a shard lane and
-  // must be re-decided at commit under the bumped control epoch.  Classic
-  // and sharded runs may legitimately order these differently, but a fixed
-  // shard count must be invariant across worker counts and repeat runs.
+  // the timeout verdict is dispatched to a shard lane and must be
+  // re-decided at commit under the bumped control epoch.  Every shard
+  // count decides on shard lanes, so all of them agree with the one-shard
+  // run, across worker counts and repeat runs.
   const Scenario scenario = Scenario::parse(R"SCN(
 seed 37
 switch s1
@@ -392,11 +394,11 @@ control 150000 revoke_all
 flow f1 c1 10.0.0.2 80
 )SCN");
   const std::uint32_t hw = sim::WorkerPool::hardware_workers();
+  const ScenarioResult reference = scenario.run(ScenarioOptions{});
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     ScenarioOptions serial;
     serial.shards = shards;
-    const ScenarioResult reference = scenario.run(serial);
     ScenarioOptions parallel = serial;
     parallel.workers = hw;
     EXPECT_TRUE(scenario.run(parallel).equivalent_to(reference));

@@ -1,9 +1,10 @@
 // Seeded scenario fuzzer (DESIGN.md §10/§13): generate hundreds of random
 // but well-formed scenario programs — random topologies, flow sets, traffic
-// models, and mid-run control-plane churn — and check that the classic
-// single-controller run and every sharded run produce equivalent_to-equal
-// results.  Any failure prints the seed and the generated program so the
-// case can be replayed directly with identxx_sim / identxx_mc.
+// models, and mid-run control-plane churn, plain and raced — and check
+// that the one-shard run (the paper's single controller) and every
+// multi-shard run produce equivalent_to-equal results.  Any failure prints
+// the seed and the generated program so the case can be replayed directly
+// with identxx_sim / identxx_mc.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +30,10 @@ using core::ScenarioResult;
 /// roughly 3/4 of the time (closed-port flows exercise the block path).
 class ScenarioGenerator {
  public:
-  explicit ScenarioGenerator(std::uint64_t seed) : rng_(seed) {}
+  /// `raced_` draws from its own stream so the raced marking leaves every
+  /// other generated line as it would be without it.
+  explicit ScenarioGenerator(std::uint64_t seed)
+      : rng_(seed), raced_(seed ^ 0x6a09e667f3bcc909ULL) {}
 
   [[nodiscard]] std::string generate() {
     std::string out;
@@ -125,11 +129,17 @@ class ScenarioGenerator {
       }
     }
 
-    // Non-raced control churn only: plain ops fire on the global lane at a
-    // fixed virtual time, so classic and sharded runs stay comparable.
+    // Control churn: plain ops fire on the global lane at a fixed virtual
+    // time; one in three is raced into a decision's dispatch-to-commit
+    // window instead.  A raced op arms on the first daemon response at or
+    // after its time, and first-round responses arrive within ~250us, so
+    // raced ops arm early or they would never fire.
     const std::uint32_t controls = pick(3);  // 0..2
     for (std::uint32_t c = 0; c < controls; ++c) {
-      const std::string at = std::to_string(200 + pick(1200));
+      std::string at = std::to_string(200 + pick(1200));
+      if (raced_.next_below(3) == 0) {
+        at = std::to_string(raced_.next_below(250)) + " raced";
+      }
       switch (pick(4)) {
         case 0:
           out += "control " + at + " revoke_all\n";
@@ -283,62 +293,24 @@ class ScenarioGenerator {
   [[nodiscard]] bool chance(std::uint32_t denom) { return pick(denom) == 0; }
 
   util::SplitMix64 rng_;
+  util::SplitMix64 raced_;
 };
 
-TEST(ScenarioFuzz, ClassicAndShardedRunsAreEquivalent) {
-  // SCENARIO_FUZZ_SEEDS trims the sweep for quick local iteration.
-  std::uint64_t seeds = 200;
-  if (const char* env = std::getenv("SCENARIO_FUZZ_SEEDS")) {
-    seeds = std::strtoull(env, nullptr, 10);
-  }
-  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    if (std::getenv("SCENARIO_FUZZ_PRINT") != nullptr) {
-      std::fprintf(stderr, "=== seed %llu ===\n%s",
-                   static_cast<unsigned long long>(seed),
-                   ScenarioGenerator(seed).generate().c_str());
-    }
-    ScenarioGenerator gen(seed);
-    const std::string text = gen.generate();
-    ScenarioOptions base = gen.options();
-
-    const Scenario scenario = Scenario::parse(text);
-    ScenarioOptions classic = base;
-    classic.shards = 0;
-    const ScenarioResult reference = scenario.run(classic);
-
-    for (const std::uint32_t shards : {1u, 2u, 3u}) {
-      ScenarioOptions sharded = base;
-      sharded.shards = shards;
-      const ScenarioResult result = scenario.run(sharded);
-      ASSERT_TRUE(result.equivalent_to(reference))
-          << "seed " << seed << ": classic vs " << shards
-          << "-shard results diverge; replay with\n"
-          << "  identxx_sim --shards " << shards
-          << (base.k_paths > 1 ? " --k-paths 2" : "")
-          << (base.queue_depth > 0
-                  ? " --queue-depth " + std::to_string(base.queue_depth)
-                  : "")
-          << " <file>\non this scenario:\n"
-          << text;
-    }
-  }
-}
-
-/// Shared classic-vs-sharded sweep for the storm generators below.  Any
-/// divergence prints the generated program so it can be replayed directly.
+/// The 1-vs-N sweep: the one-shard run is the reference and every
+/// multi-shard run must be equivalent_to it.  Any divergence prints the
+/// generated program so it can be replayed directly.
 void expect_shard_invariant(const std::string& text, const ScenarioOptions& base,
-                            std::uint64_t seed, const char* storm) {
+                            std::uint64_t seed, const char* what) {
   const Scenario scenario = Scenario::parse(text);
-  ScenarioOptions classic = base;
-  classic.shards = 0;
-  const ScenarioResult reference = scenario.run(classic);
-  for (const std::uint32_t shards : {1u, 2u, 3u}) {
+  ScenarioOptions one_shard = base;
+  one_shard.shards = 1;
+  const ScenarioResult reference = scenario.run(one_shard);
+  for (const std::uint32_t shards : {2u, 3u}) {
     ScenarioOptions sharded = base;
     sharded.shards = shards;
     const ScenarioResult result = scenario.run(sharded);
     ASSERT_TRUE(result.equivalent_to(reference))
-        << storm << " seed " << seed << ": classic vs " << shards
+        << what << " seed " << seed << ": 1 vs " << shards
         << "-shard results diverge; replay with\n"
         << "  identxx_sim --shards " << shards
         << (base.k_paths > 1 ? " --k-paths 2" : "")
@@ -347,6 +319,25 @@ void expect_shard_invariant(const std::string& text, const ScenarioOptions& base
                 : "")
         << " <file>\non this scenario:\n"
         << text;
+  }
+}
+
+TEST(ScenarioFuzz, OneAndMultiShardRunsAreEquivalent) {
+  // SCENARIO_FUZZ_SEEDS trims the sweep for quick local iteration.
+  std::uint64_t seeds = 200;
+  if (const char* env = std::getenv("SCENARIO_FUZZ_SEEDS")) {
+    seeds = std::strtoull(env, nullptr, 10);
+  }
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ScenarioGenerator gen(seed);
+    const std::string text = gen.generate();
+    if (std::getenv("SCENARIO_FUZZ_PRINT") != nullptr) {
+      std::fprintf(stderr, "=== seed %llu ===\n%s",
+                   static_cast<unsigned long long>(seed), text.c_str());
+    }
+    expect_shard_invariant(text, gen.options(), seed, "scenario");
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -296,6 +296,7 @@ TEST(ScenarioFlags, RejectsBadInput) {
       {"--chan-loss", "0.5x"},      // trailing junk
       {"--k-paths", "0"},           // at least one path
       {"--shards", "two"},          // not a number
+      {"--shards", "0"},            // at least one admission domain
       {"--bogus"},                  // unknown flag
       {"--workers", "2"},           // a tool's own flag, not a shared one
   };

@@ -350,10 +350,11 @@ expect f4 blocked
 TEST(ShardedScenario, ResultInvariantAcrossShardAndWorkerCounts) {
   const Scenario scenario = Scenario::parse(kScenario);
 
-  ScenarioOptions classic;  // shards = 0: single controller
-  const auto base = scenario.run(classic);
+  ScenarioOptions one_shard;  // shards = 1: the single controller
+  const auto base = scenario.run(one_shard);
   EXPECT_TRUE(base.ok());
   ASSERT_EQ(base.flows.size(), 4u);
+  ASSERT_EQ(base.domain_stats.size(), 1u);
 
   for (const std::uint32_t shards : {1u, 4u}) {
     for (const std::uint32_t workers :
@@ -364,8 +365,8 @@ TEST(ShardedScenario, ResultInvariantAcrossShardAndWorkerCounts) {
       const auto result = scenario.run(options);
       EXPECT_TRUE(result.equivalent_to(base))
           << "shards=" << shards << " workers=" << workers;
-      ASSERT_EQ(result.domain_stats.size(), std::max(shards, 1u));
-      // The per-domain breakdown re-aggregates to the single-controller
+      ASSERT_EQ(result.domain_stats.size(), shards);
+      // The per-domain breakdown re-aggregates to the single-domain
       // totals.
       ctrl::ControllerStats sum;
       for (const auto& stats : result.domain_stats) sum.accumulate(stats);
@@ -383,7 +384,7 @@ TEST(ShardedScenario, ResultInvariantWithBatchedEval) {
   const auto base = scenario.run(ScenarioOptions{});
   EXPECT_TRUE(base.ok());
 
-  for (const std::uint32_t shards : {0u, 1u, 4u}) {
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
     ScenarioOptions options;
     options.shards = shards;
     const auto result = scenario.run(options);

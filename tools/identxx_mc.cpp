@@ -114,9 +114,6 @@ int main(int argc, char** argv) {
         path = args[i].data();  // argv strings are NUL-terminated
       }
     }
-    if (options.scenario.shards == 0) {
-      throw identxx::ParseError("--shards: must be >= 1");
-    }
   } catch (const identxx::ParseError& e) {
     std::fprintf(stderr, "identxx_mc: %s\n", e.what());
     usage();

@@ -7,8 +7,9 @@
 // full Figure-1 sequence, and reports per-flow verdicts plus the
 // controller's audit log.  Exit status 0 when all `expect` lines hold.
 //
-// --shards N   partition admission across N parallel domains (DESIGN.md
-//              §10); per-domain stats are reported after the run.
+// --shards N   partition admission across N >= 1 parallel domains
+//              (DESIGN.md §10; default 1, the paper's one controller);
+//              per-domain stats are reported after the run.
 // --workers N  real threads driving the shard lanes (results are identical
 //              at any worker count; use 0 for all hardware threads).
 // --seed S     deterministic RNG seed (overrides the file's `seed` line).
@@ -76,14 +77,10 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
 
     const auto scenario = identxx::core::Scenario::parse(buffer.str());
-    std::printf("scenario: %zu switch(es), %zu host(s), %zu flow(s)",
+    std::printf("scenario: %zu switch(es), %zu host(s), %zu flow(s), "
+                "%u shard(s), %u worker(s)\n\n",
                 scenario.switch_count(), scenario.host_count(),
-                scenario.flow_count());
-    if (options.shards > 0) {
-      std::printf(", %u shard(s), %u worker(s)", options.shards,
-                  options.workers);
-    }
-    std::printf("\n\n");
+                scenario.flow_count(), options.shards, options.workers);
     const auto result = scenario.run(options);
 
     std::printf("%-12s %-46s %-10s %8s %8s %8s %s\n", "flow", "5-tuple",
@@ -159,18 +156,16 @@ int main(int argc, char** argv) {
       }
       std::printf(")\n");
     }
-    if (options.shards > 0) {
-      std::printf("\n%-8s %10s %10s %10s %10s %10s\n", "domain", "flows",
-                  "allowed", "blocked", "cache-hits", "installs");
-      for (std::size_t i = 0; i < result.domain_stats.size(); ++i) {
-        const auto& s = result.domain_stats[i];
-        std::printf("d%-7zu %10llu %10llu %10llu %10llu %10llu\n", i,
-                    static_cast<unsigned long long>(s.flows_seen),
-                    static_cast<unsigned long long>(s.flows_allowed),
-                    static_cast<unsigned long long>(s.flows_blocked),
-                    static_cast<unsigned long long>(s.decision_cache_hits),
-                    static_cast<unsigned long long>(s.entries_installed));
-      }
+    std::printf("\n%-8s %10s %10s %10s %10s %10s\n", "domain", "flows",
+                "allowed", "blocked", "cache-hits", "installs");
+    for (std::size_t i = 0; i < result.domain_stats.size(); ++i) {
+      const auto& s = result.domain_stats[i];
+      std::printf("d%-7zu %10llu %10llu %10llu %10llu %10llu\n", i,
+                  static_cast<unsigned long long>(s.flows_seen),
+                  static_cast<unsigned long long>(s.flows_allowed),
+                  static_cast<unsigned long long>(s.flows_blocked),
+                  static_cast<unsigned long long>(s.decision_cache_hits),
+                  static_cast<unsigned long long>(s.entries_installed));
     }
     if (!result.ok()) {
       std::fprintf(stderr, "\nidentxx_sim: expectation mismatches\n");

@@ -950,7 +950,6 @@ bool AggregatingInstallStrategy::is_aggregate_entry(
 
 AdmissionPipeline& AdmissionPipeline::finish(const ControllerConfig& config) {
   if (!planner) planner = std::make_unique<EndpointQueryPlanner>();
-  if (!collector) collector = std::make_unique<ResponseCollector>();
   if (!installer) {
     if (config.aggregate_installs) {
       installer = std::make_unique<AggregatingInstallStrategy>();

@@ -786,13 +786,13 @@ class AuditLogObserver : public AdmissionObserver {
 /// controller flavours.
 struct AdmissionPipeline {
   std::unique_ptr<QueryPlanner> planner;
-  std::unique_ptr<ResponseCollector> collector;
+  ResponseCollector collector;
   std::unique_ptr<DecisionEngine> engine;
   std::unique_ptr<DecisionCache> cache;  ///< nullptr = no decision caching
   std::unique_ptr<InstallStrategy> installer;
 
   /// Fill any unset stage with its default (EndpointQueryPlanner,
-  /// ResponseCollector, PathInstallStrategy; engine stays required).
+  /// PathInstallStrategy; engine stays required).
   AdmissionPipeline& finish(const ControllerConfig& config);
 
   /// The paper's controller: query endpoints, evaluate PF+=2, install the

@@ -277,7 +277,7 @@ void AdmissionController::handle_new_flow(const openflow::PacketIn& msg,
   }
 
   const auto [ctx, inserted] =
-      pipeline_.collector->begin(flow, msg, simulator().now());
+      pipeline_.collector.begin(flow, msg, simulator().now());
   if (!inserted) {
     return;  // decision already in flight; packet waits
   }
@@ -294,7 +294,7 @@ void AdmissionController::handle_new_flow(const openflow::PacketIn& msg,
   }
 
   // Stage 2: proxy answers for sides we could not query (§4).
-  const std::size_t proxied = pipeline_.collector->fill_proxies_at_begin(
+  const std::size_t proxied = pipeline_.collector.fill_proxies_at_begin(
       *ctx, config_.query_both_ends);
   for (std::size_t i = 0; i < proxied; ++i) {
     notify([&](AdmissionObserver& o) { o.on_query_proxied(flow); });
@@ -309,7 +309,7 @@ void AdmissionController::handle_new_flow(const openflow::PacketIn& msg,
   // packet-in storms share one decide_many() evaluation.  One sweep per
   // deadline tick: flows armed at the same instant share a callback.
   const sim::SimTime deadline = simulator().now() + config_.query_timeout;
-  pipeline_.collector->arm_deadline(*ctx, deadline);
+  pipeline_.collector.arm_deadline(*ctx, deadline);
   if (deadline != last_scheduled_sweep_) {
     last_scheduled_sweep_ = deadline;
     simulator().schedule_after(config_.query_timeout,
@@ -319,7 +319,7 @@ void AdmissionController::handle_new_flow(const openflow::PacketIn& msg,
 
 void AdmissionController::sweep_expired() {
   std::vector<AdmissionContext*> expired =
-      pipeline_.collector->expired(simulator().now());
+      pipeline_.collector.expired(simulator().now());
   std::erase_if(expired, [](const AdmissionContext* ctx) {
     return ctx->decision_in_flight;
   });
@@ -337,7 +337,7 @@ void AdmissionController::sweep_expired() {
   for (AdmissionContext* ctx : expired) {
     notify([&](AdmissionObserver& o) { o.on_query_timeout(ctx->flow); });
     const std::size_t proxied =
-        pipeline_.collector->fill_proxies_at_decide(*ctx);
+        pipeline_.collector.fill_proxies_at_decide(*ctx);
     for (std::size_t i = 0; i < proxied; ++i) {
       notify([&](AdmissionObserver& o) { o.on_query_proxied(ctx->flow); });
     }
@@ -398,7 +398,7 @@ bool AdmissionController::retry_queries(AdmissionContext& ctx) {
   const sim::SimTime deadline = simulator().now() +
                                 (config_.query_timeout << shift) +
                                 retry_jitter_for(ctx);
-  pipeline_.collector->arm_deadline(ctx, deadline);
+  pipeline_.collector.arm_deadline(ctx, deadline);
   if (deadline != last_scheduled_sweep_) {
     last_scheduled_sweep_ = deadline;
     simulator().schedule_at(deadline, [this]() { sweep_expired(); });
@@ -434,7 +434,7 @@ void AdmissionController::schedule_readmission_probe(AdmissionContext& ctx) {
 void AdmissionController::probe_readmission(const net::FiveTuple& flow) {
   const auto it = degraded_.find(flow);
   if (it == degraded_.end()) return;  // fully re-decided in the meantime
-  if (pipeline_.collector->find(flow) != nullptr) {
+  if (pipeline_.collector.find(flow) != nullptr) {
     return;  // a fresh admission for this flow is already in flight
   }
   // Lift the degraded cover first so the fresh verdict's entries never
@@ -479,7 +479,7 @@ void AdmissionController::decide_ready(std::vector<AdmissionContext*> batch) {
   // Late proxy fill-in for sides that never answered.
   for (AdmissionContext* ctx : batch) {
     const std::size_t proxied =
-        pipeline_.collector->fill_proxies_at_decide(*ctx);
+        pipeline_.collector.fill_proxies_at_decide(*ctx);
     for (std::size_t i = 0; i < proxied; ++i) {
       notify([&](AdmissionObserver& o) { o.on_query_proxied(ctx->flow); });
     }
@@ -590,7 +590,7 @@ void AdmissionController::finalize(AdmissionContext& ctx,
   apply_decision(ctx, decision);
   // Copy the key before erasing: `ctx` aliases into the collector's map.
   const net::FiveTuple key = ctx.flow;
-  pipeline_.collector->erase(key);
+  pipeline_.collector.erase(key);
 }
 
 void AdmissionController::release_buffered(AdmissionContext& ctx,

@@ -125,7 +125,7 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
 
   [[nodiscard]] QueryPlanner& planner() noexcept { return *pipeline_.planner; }
   [[nodiscard]] ResponseCollector& collector() noexcept {
-    return *pipeline_.collector;
+    return pipeline_.collector;
   }
   [[nodiscard]] DecisionEngine& decision_engine() noexcept {
     return *pipeline_.engine;

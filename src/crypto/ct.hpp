@@ -38,6 +38,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "crypto/field.hpp"
+
 namespace identxx::crypto::ct {
 
 // ---- zeroization ------------------------------------------------------------
@@ -210,23 +212,22 @@ struct TracedLimb {
 // ---- limb traits ------------------------------------------------------------
 //
 // The templated kernels in ct_sign.hpp are written against these four
-// operations; uint64_t gets the __int128 fast path, TracedLimb the shadow
-// path.  Everything else (masks, selects, field arithmetic) is generic.
+// operations; uint64_t gets field.hpp's carry helpers, TracedLimb the
+// shadow path.  Everything else (masks, selects, field arithmetic) is
+// generic.
 
-__extension__ typedef unsigned __int128 ct_u128;
+using field::u128;
 
 /// lo = (a * b) mod 2^64, hi = (a * b) >> 64.
 // ct-lint: certified
 inline std::uint64_t ct_mul64(std::uint64_t a, std::uint64_t b,
                               std::uint64_t& hi) noexcept {
-  const ct_u128 p = static_cast<ct_u128>(a) * b;
-  hi = static_cast<std::uint64_t>(p >> 64);
-  return static_cast<std::uint64_t>(p);
+  return field::mul64(a, b, hi);
 }
 
 // ct-lint: certified
 inline TracedLimb ct_mul64(TracedLimb a, TracedLimb b, TracedLimb& hi) noexcept {
-  const ct_u128 p = static_cast<ct_u128>(a.v) * b.v;
+  const u128 p = static_cast<u128>(a.v) * b.v;
   const bool taint = a.t || b.t;
   hi = TracedLimb::with_taint(static_cast<std::uint64_t>(p >> 64), taint);
   return TracedLimb::with_taint(static_cast<std::uint64_t>(p), taint);
@@ -236,14 +237,15 @@ inline TracedLimb ct_mul64(TracedLimb a, TracedLimb b, TracedLimb& hi) noexcept 
 // ct-lint: certified
 inline std::uint64_t ct_adc(std::uint64_t a, std::uint64_t b,
                             std::uint64_t& carry) noexcept {
-  const ct_u128 s = static_cast<ct_u128>(a) + b + carry;
-  carry = static_cast<std::uint64_t>(s >> 64);
-  return static_cast<std::uint64_t>(s);
+  auto c = static_cast<unsigned char>(carry);
+  const std::uint64_t sum = field::adc64(a, b, c);
+  carry = c;
+  return sum;
 }
 
 // ct-lint: certified
 inline TracedLimb ct_adc(TracedLimb a, TracedLimb b, TracedLimb& carry) noexcept {
-  const ct_u128 s = static_cast<ct_u128>(a.v) + b.v + carry.v;
+  const u128 s = static_cast<u128>(a.v) + b.v + carry.v;
   const bool taint = a.t || b.t || carry.t;
   carry = TracedLimb::with_taint(static_cast<std::uint64_t>(s >> 64), taint);
   return TracedLimb::with_taint(static_cast<std::uint64_t>(s), taint);
@@ -253,14 +255,15 @@ inline TracedLimb ct_adc(TracedLimb a, TracedLimb b, TracedLimb& carry) noexcept
 // ct-lint: certified
 inline std::uint64_t ct_sbb(std::uint64_t a, std::uint64_t b,
                             std::uint64_t& borrow) noexcept {
-  const ct_u128 d = static_cast<ct_u128>(a) - b - borrow;
-  borrow = static_cast<std::uint64_t>(d >> 64) & 1;
-  return static_cast<std::uint64_t>(d);
+  auto br = static_cast<unsigned char>(borrow);
+  const std::uint64_t diff = field::sbb64(a, b, br);
+  borrow = br;
+  return diff;
 }
 
 // ct-lint: certified
 inline TracedLimb ct_sbb(TracedLimb a, TracedLimb b, TracedLimb& borrow) noexcept {
-  const ct_u128 d = static_cast<ct_u128>(a.v) - b.v - borrow.v;
+  const u128 d = static_cast<u128>(a.v) - b.v - borrow.v;
   const bool taint = a.t || b.t || borrow.t;
   borrow = TracedLimb::with_taint(static_cast<std::uint64_t>(d >> 64) & 1, taint);
   return TracedLimb::with_taint(static_cast<std::uint64_t>(d), taint);

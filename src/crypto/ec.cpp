@@ -6,14 +6,13 @@
 #include <queue>
 #include <vector>
 
+#include "crypto/ct_sign.hpp"
+
 namespace identxx::crypto {
 
 namespace {
 
-__extension__ typedef unsigned __int128 u128;
-
-// p = 2^256 - kC where kC = 2^32 + 977 = 0x1000003d1.
-constexpr std::uint64_t kC = 0x1000003d1ULL;
+using field::u128;
 
 const U256 kP{0xfffffffefffffc2fULL, 0xffffffffffffffffULL,
               0xffffffffffffffffULL, 0xffffffffffffffffULL};
@@ -28,94 +27,6 @@ const U256 kGy{0x9c47d08ffb10d4b8ULL, 0xfd17b448a6855419ULL,
 // (129 bits, three limbs little-endian).
 constexpr std::array<std::uint64_t, 3> kNC{0x402da1732fc9bebfULL,
                                            0x4551231950b75fc4ULL, 1ULL};
-
-// The field layer below is fully unrolled: operand-scanning 4x4 products,
-// two kC folds and one conditional subtraction, with no loops, arrays
-// indexed by variables, or U512 round-trips.  The loop-and-carry generic
-// path (U256::mul_wide + mod) survives in u256.cpp as the differential
-// oracle; the tests sweep these against it.  The unroll roughly halves
-// fp_mul latency, which multiplies through every point operation on the
-// verification hot path.
-
-/// Fold an 8-limb product into [0, p): lo + hi*kC, fold the spill limb,
-/// and subtract p at most once.
-U256 fp_from_wide(const std::uint64_t r0, const std::uint64_t r1,
-                  const std::uint64_t r2, const std::uint64_t r3,
-                  const std::uint64_t r4, const std::uint64_t r5,
-                  const std::uint64_t r6, const std::uint64_t r7) noexcept {
-  // Pass 1: t = L + H*kC (< 2^256 + 2^97, five limbs).
-  std::uint64_t t0;
-  std::uint64_t t1;
-  std::uint64_t t2;
-  std::uint64_t t3;
-  std::uint64_t t4;
-  {
-    u128 c = static_cast<u128>(r4) * kC + r0;
-    t0 = static_cast<std::uint64_t>(c);
-    c >>= 64;
-    c += static_cast<u128>(r5) * kC + r1;
-    t1 = static_cast<std::uint64_t>(c);
-    c >>= 64;
-    c += static_cast<u128>(r6) * kC + r2;
-    t2 = static_cast<std::uint64_t>(c);
-    c >>= 64;
-    c += static_cast<u128>(r7) * kC + r3;
-    t3 = static_cast<std::uint64_t>(c);
-    t4 = static_cast<std::uint64_t>(c >> 64);
-  }
-  // Pass 2: fold the spill limb (t4 <= kC): t4*kC is 66 bits.
-  U256 out;
-  u128 c = static_cast<u128>(t4) * kC + t0;
-  out.w[0] = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += t1;
-  out.w[1] = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += t2;
-  out.w[2] = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += t3;
-  out.w[3] = static_cast<std::uint64_t>(c);
-  if (static_cast<std::uint64_t>(c >> 64) != 0) {
-    // Wrapped past 2^256 (possible only for t within 2^66 of it): the
-    // wrapped value is tiny, so adding kC once finishes the reduction.
-    u128 c2 = static_cast<u128>(out.w[0]) + kC;
-    out.w[0] = static_cast<std::uint64_t>(c2);
-    c2 >>= 64;
-    c2 += out.w[1];
-    out.w[1] = static_cast<std::uint64_t>(c2);
-    c2 >>= 64;
-    c2 += out.w[2];
-    out.w[2] = static_cast<std::uint64_t>(c2);
-    c2 >>= 64;
-    out.w[3] = static_cast<std::uint64_t>(c2 + out.w[3]);
-    return out;
-  }
-  bool ge;
-  if (out.w[3] != kP.w[3]) {
-    ge = out.w[3] > kP.w[3];
-  } else if (out.w[2] != kP.w[2]) {
-    ge = out.w[2] > kP.w[2];
-  } else if (out.w[1] != kP.w[1]) {
-    ge = out.w[1] > kP.w[1];
-  } else {
-    ge = out.w[0] >= kP.w[0];
-  }
-  if (ge) {
-    u128 br = static_cast<u128>(out.w[0]) - kP.w[0];
-    out.w[0] = static_cast<std::uint64_t>(br);
-    br = (br >> 64) & 1;
-    br = static_cast<u128>(out.w[1]) - kP.w[1] - static_cast<std::uint64_t>(br);
-    out.w[1] = static_cast<std::uint64_t>(br);
-    br = (br >> 64) & 1;
-    br = static_cast<u128>(out.w[2]) - kP.w[2] - static_cast<std::uint64_t>(br);
-    out.w[2] = static_cast<std::uint64_t>(br);
-    br = (br >> 64) & 1;
-    out.w[3] = static_cast<std::uint64_t>(
-        static_cast<u128>(out.w[3]) - kP.w[3] - static_cast<std::uint64_t>(br));
-  }
-  return out;
-}
 
 /// Width-w wNAF digit string, least-significant first: digits are zero or
 /// odd in (-2^(w-1), 2^(w-1)), and any two nonzero digits are at least w
@@ -470,203 +381,7 @@ const U256& Secp256k1::n() noexcept { return kN; }
 const U256& Secp256k1::gx() noexcept { return kGx; }
 const U256& Secp256k1::gy() noexcept { return kGy; }
 
-U256 fp_add(const U256& a, const U256& b) noexcept {
-  U256 out;
-  u128 c = static_cast<u128>(a.w[0]) + b.w[0];
-  out.w[0] = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(a.w[1]) + b.w[1];
-  out.w[1] = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(a.w[2]) + b.w[2];
-  out.w[2] = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(a.w[3]) + b.w[3];
-  out.w[3] = static_cast<std::uint64_t>(c);
-  bool ge = static_cast<std::uint64_t>(c >> 64) != 0;
-  if (!ge) {
-    if (out.w[3] != kP.w[3]) {
-      ge = out.w[3] > kP.w[3];
-    } else if (out.w[2] != kP.w[2]) {
-      ge = out.w[2] > kP.w[2];
-    } else if (out.w[1] != kP.w[1]) {
-      ge = out.w[1] > kP.w[1];
-    } else {
-      ge = out.w[0] >= kP.w[0];
-    }
-  }
-  if (ge) {
-    u128 br = static_cast<u128>(out.w[0]) - kP.w[0];
-    out.w[0] = static_cast<std::uint64_t>(br);
-    br = (br >> 64) & 1;
-    br = static_cast<u128>(out.w[1]) - kP.w[1] - static_cast<std::uint64_t>(br);
-    out.w[1] = static_cast<std::uint64_t>(br);
-    br = (br >> 64) & 1;
-    br = static_cast<u128>(out.w[2]) - kP.w[2] - static_cast<std::uint64_t>(br);
-    out.w[2] = static_cast<std::uint64_t>(br);
-    br = (br >> 64) & 1;
-    out.w[3] = static_cast<std::uint64_t>(
-        static_cast<u128>(out.w[3]) - kP.w[3] - static_cast<std::uint64_t>(br));
-  }
-  return out;
-}
-
-U256 fp_sub(const U256& a, const U256& b) noexcept {
-  U256 out;
-  u128 br = static_cast<u128>(a.w[0]) - b.w[0];
-  out.w[0] = static_cast<std::uint64_t>(br);
-  br = (br >> 64) & 1;
-  br = static_cast<u128>(a.w[1]) - b.w[1] - static_cast<std::uint64_t>(br);
-  out.w[1] = static_cast<std::uint64_t>(br);
-  br = (br >> 64) & 1;
-  br = static_cast<u128>(a.w[2]) - b.w[2] - static_cast<std::uint64_t>(br);
-  out.w[2] = static_cast<std::uint64_t>(br);
-  br = (br >> 64) & 1;
-  br = static_cast<u128>(a.w[3]) - b.w[3] - static_cast<std::uint64_t>(br);
-  out.w[3] = static_cast<std::uint64_t>(br);
-  if (((br >> 64) & 1) != 0) {
-    u128 c = static_cast<u128>(out.w[0]) + kP.w[0];
-    out.w[0] = static_cast<std::uint64_t>(c);
-    c >>= 64;
-    c += static_cast<u128>(out.w[1]) + kP.w[1];
-    out.w[1] = static_cast<std::uint64_t>(c);
-    c >>= 64;
-    c += static_cast<u128>(out.w[2]) + kP.w[2];
-    out.w[2] = static_cast<std::uint64_t>(c);
-    c >>= 64;
-    out.w[3] = static_cast<std::uint64_t>(c + out.w[3] + kP.w[3]);
-  }
-  return out;
-}
-
-U256 fp_mul(const U256& a, const U256& b) noexcept {
-  const std::uint64_t a0 = a.w[0], a1 = a.w[1], a2 = a.w[2], a3 = a.w[3];
-  const std::uint64_t b0 = b.w[0], b1 = b.w[1], b2 = b.w[2], b3 = b.w[3];
-  std::uint64_t r0, r1, r2, r3, r4, r5, r6, r7;
-  u128 c = static_cast<u128>(a0) * b0;
-  r0 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(a0) * b1;
-  std::uint64_t t1 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(a0) * b2;
-  std::uint64_t t2 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(a0) * b3;
-  std::uint64_t t3 = static_cast<std::uint64_t>(c);
-  std::uint64_t t4 = static_cast<std::uint64_t>(c >> 64);
-
-  c = static_cast<u128>(t1) + static_cast<u128>(a1) * b0;
-  r1 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t2) + static_cast<u128>(a1) * b1;
-  t2 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t3) + static_cast<u128>(a1) * b2;
-  t3 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t4) + static_cast<u128>(a1) * b3;
-  t4 = static_cast<std::uint64_t>(c);
-  std::uint64_t t5 = static_cast<std::uint64_t>(c >> 64);
-
-  c = static_cast<u128>(t2) + static_cast<u128>(a2) * b0;
-  r2 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t3) + static_cast<u128>(a2) * b1;
-  t3 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t4) + static_cast<u128>(a2) * b2;
-  t4 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t5) + static_cast<u128>(a2) * b3;
-  t5 = static_cast<std::uint64_t>(c);
-  std::uint64_t t6 = static_cast<std::uint64_t>(c >> 64);
-
-  c = static_cast<u128>(t3) + static_cast<u128>(a3) * b0;
-  r3 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t4) + static_cast<u128>(a3) * b1;
-  r4 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t5) + static_cast<u128>(a3) * b2;
-  r5 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(t6) + static_cast<u128>(a3) * b3;
-  r6 = static_cast<std::uint64_t>(c);
-  r7 = static_cast<std::uint64_t>(c >> 64);
-  return fp_from_wide(r0, r1, r2, r3, r4, r5, r6, r7);
-}
-
-U256 fp_sqr(const U256& a) noexcept {
-  const std::uint64_t a0 = a.w[0], a1 = a.w[1], a2 = a.w[2], a3 = a.w[3];
-  // Off-diagonal columns (each product once): d1..d6 hold columns 1..6.
-  u128 c = static_cast<u128>(a0) * a1;
-  std::uint64_t d1 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(a0) * a2;
-  std::uint64_t d2 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  // Column 3 has two products; accumulate them with separate carries so
-  // the u128 cannot overflow.
-  c += static_cast<u128>(a0) * a3;
-  std::uint64_t d3 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  u128 c2 = static_cast<u128>(d3) + static_cast<u128>(a1) * a2;
-  d3 = static_cast<std::uint64_t>(c2);
-  c += c2 >> 64;
-  c += static_cast<u128>(a1) * a3;
-  std::uint64_t d4 = static_cast<std::uint64_t>(c);
-  c >>= 64;
-  c += static_cast<u128>(a2) * a3;
-  std::uint64_t d5 = static_cast<std::uint64_t>(c);
-  std::uint64_t d6 = static_cast<std::uint64_t>(c >> 64);
-
-  // r = 2 * offdiag + diagonals.
-  std::uint64_t r0, r1, r2, r3, r4, r5, r6, r7;
-  const std::uint64_t e1 = d1 << 1;
-  const std::uint64_t e2 = (d2 << 1) | (d1 >> 63);
-  const std::uint64_t e3 = (d3 << 1) | (d2 >> 63);
-  const std::uint64_t e4 = (d4 << 1) | (d3 >> 63);
-  const std::uint64_t e5 = (d5 << 1) | (d4 >> 63);
-  const std::uint64_t e6 = (d6 << 1) | (d5 >> 63);
-  const std::uint64_t e7 = d6 >> 63;
-
-  u128 s = static_cast<u128>(a0) * a0;
-  r0 = static_cast<std::uint64_t>(s);
-  s >>= 64;
-  s += e1;
-  r1 = static_cast<std::uint64_t>(s);
-  s >>= 64;
-  s += static_cast<u128>(a1) * a1 + e2;
-  r2 = static_cast<std::uint64_t>(s);
-  s >>= 64;
-  s += e3;
-  r3 = static_cast<std::uint64_t>(s);
-  s >>= 64;
-  s += static_cast<u128>(a2) * a2 + e4;
-  r4 = static_cast<std::uint64_t>(s);
-  s >>= 64;
-  s += e5;
-  r5 = static_cast<std::uint64_t>(s);
-  s >>= 64;
-  s += static_cast<u128>(a3) * a3 + e6;
-  r6 = static_cast<std::uint64_t>(s);
-  s >>= 64;
-  r7 = static_cast<std::uint64_t>(s + e7);
-  return fp_from_wide(r0, r1, r2, r3, r4, r5, r6, r7);
-}
-
-U256 fp_inv(const U256& a) noexcept {
-  // Fermat: a^(p-2).  Square-and-multiply with the fast field multiply.
-  const U256 e = U256::sub(kP, U256{2}).first;
-  U256 result{1};
-  const unsigned bits = e.bit_length();
-  for (int i = static_cast<int>(bits) - 1; i >= 0; --i) {
-    result = fp_sqr(result);
-    if (e.bit(static_cast<unsigned>(i))) result = fp_mul(result, a);
-  }
-  return result;
-}
+U256 fp_inv(const U256& a) noexcept { return U256{ct::fp_inv_ct(a.w)}; }
 
 U256 sn_reduce(const U512& x) noexcept {
   // Fold x = H*2^256 + L ==> L + H*kNC until the high half vanishes.

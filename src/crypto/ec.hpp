@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "crypto/field.hpp"
 #include "crypto/u256.hpp"
 
 namespace identxx::crypto {
@@ -38,13 +39,22 @@ struct Secp256k1 {
   static const U256& gy() noexcept;  ///< base point y
 };
 
-// ---- Field arithmetic mod p (specialized reduction for p = 2^256 - c) ----
+// ---- Field arithmetic mod p (field.hpp's branch-free layer, inline) ----
 
-[[nodiscard]] U256 fp_add(const U256& a, const U256& b) noexcept;
-[[nodiscard]] U256 fp_sub(const U256& a, const U256& b) noexcept;
-[[nodiscard]] U256 fp_mul(const U256& a, const U256& b) noexcept;
-[[nodiscard]] U256 fp_sqr(const U256& a) noexcept;
-[[nodiscard]] U256 fp_inv(const U256& a) noexcept;  ///< a^(p-2); a must be nonzero
+[[gnu::always_inline]] [[nodiscard]] inline U256 fp_add(const U256& a, const U256& b) noexcept {
+  return U256{field::fe_add(a.w, b.w)};
+}
+[[gnu::always_inline]] [[nodiscard]] inline U256 fp_sub(const U256& a, const U256& b) noexcept {
+  return U256{field::fe_sub(a.w, b.w)};
+}
+[[gnu::always_inline]] [[nodiscard]] inline U256 fp_mul(const U256& a, const U256& b) noexcept {
+  return U256{field::fe_mul(a.w, b.w)};
+}
+[[gnu::always_inline]] [[nodiscard]] inline U256 fp_sqr(const U256& a) noexcept {
+  return U256{field::fe_sqr(a.w)};
+}
+/// a^(p-2) by ct_sign.hpp's addition chain; a must be nonzero.
+[[nodiscard]] U256 fp_inv(const U256& a) noexcept;
 
 // ---- Scalar arithmetic mod n (specialized reduction for n = 2^256 - c) ----
 //
@@ -75,6 +85,7 @@ struct AffinePoint {
   /// Is (x, y) on y^2 = x^3 + 7?  The identity is on the curve by fiat.
   [[nodiscard]] bool on_curve() const noexcept;
 
+  // ct-lint: certified
   [[nodiscard]] static AffinePoint identity() noexcept {
     return AffinePoint{U256{}, U256{}, true};
   }
@@ -88,6 +99,7 @@ struct JacobianPoint {
   U256 y;
   U256 z;
 
+  // ct-lint: certified
   [[nodiscard]] static JacobianPoint identity() noexcept {
     return JacobianPoint{U256{1}, U256{1}, U256{}};
   }

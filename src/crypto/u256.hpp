@@ -25,6 +25,7 @@ struct U256 {
   constexpr U256(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
                  std::uint64_t w3)
       : w{w0, w1, w2, w3} {}
+  constexpr explicit U256(const std::array<std::uint64_t, 4>& limbs) : w(limbs) {}
 
   /// Parse big-endian hex (1..64 hex digits, optional "0x" prefix).
   [[nodiscard]] static std::optional<U256> from_hex(std::string_view hex);

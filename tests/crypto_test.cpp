@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "crypto/ct_sign.hpp"
 #include "crypto/ec.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/key_tier.hpp"
@@ -1409,9 +1410,14 @@ TEST(EcDifferential, MsmMatchesNaiveSum) {
 
 // ------------------------------------------------- unrolled field layer
 
-TEST(FpDifferential, UnrolledOpsMatchGenericModOracles) {
-  // The fixed-prime field layer against the generic U256/U512 modular
-  // routines it replaced, on >= 1000 random residues plus boundary values.
+/// Field-operation operand pairs: limb-boundary values plus >= 1000 random
+/// residues.  The boundaries stress every carry chain of field.hpp:
+/// p - 2^32 has a zero bit inside the top limbs' run of ones, all-ones
+/// limbs carry through every column, 2^255 is a single top bit, and
+/// (p-1)^2 drives the fold to its largest final subtraction.  The last
+/// pair, 2^255 * (2 * floor((3 * 2^255 - 1) / kFold) + 1), is built so
+/// that the second fold carries past 2^256: the masked wrap.
+std::vector<std::pair<U256, U256>> fp_cases() {
   util::SplitMix64 rng(157);
   const U256& p = Secp256k1::p();
   const auto residue = [&rng, &p]() {
@@ -1419,15 +1425,30 @@ TEST(FpDifferential, UnrolledOpsMatchGenericModOracles) {
     for (std::size_t i = 0; i < 4; ++i) x.w[i] = rng.next();
     return mod(x, p);
   };
+  const U256 p1 = U256::sub(p, U256{1}).first;
+  const U256 p_2_32 = U256::sub(p, U256{0x100000000ULL}).first;
+  const U256 ones3{~0ULL, ~0ULL, ~0ULL, 0};
+  const U256 ones_alt{~0ULL, 0, ~0ULL, 0x7fffffffffffffffULL};
+  const U256 top{0, 0, 0, 1ULL << 63};
+  const U256 wrap_b = *U256::from_hex(
+      "2fffff48d002bb1e2593e1f2969eb12f2c5dcaf7ae0c64c0c2b37c58f");
   std::vector<std::pair<U256, U256>> cases = {
-      {U256{}, U256{}},
-      {U256{}, U256{1}},
-      {U256::sub(p, U256{1}).first, U256::sub(p, U256{1}).first},
-      {U256::sub(p, U256{1}).first, U256{1}},
-      {U256::sub(p, U256{2}).first, U256{2}},
+      {U256{}, U256{}},         {U256{}, U256{1}},   {p1, p1},
+      {p1, U256{1}},            {U256::sub(p, U256{2}).first, U256{2}},
+      {p_2_32, p_2_32},         {p_2_32, p1},        {p_2_32, U256{1}},
+      {ones3, ones3},           {ones3, p1},         {ones_alt, ones3},
+      {top, top},               {top, p1},           {top, ones3},
+      {top, wrap_b},
   };
   for (int i = 0; i < 1000; ++i) cases.emplace_back(residue(), residue());
-  for (const auto& [a, b] : cases) {
+  return cases;
+}
+
+TEST(FpDifferential, UnrolledOpsMatchGenericModOracles) {
+  // The fixed-prime field layer against the generic U256/U512 modular
+  // routines it replaced.
+  const U256& p = Secp256k1::p();
+  for (const auto& [a, b] : fp_cases()) {
     EXPECT_EQ(fp_add(a, b), add_mod(a, b, p));
     EXPECT_EQ(fp_sub(a, b), sub_mod(a, b, p));
     EXPECT_EQ(fp_mul(a, b), mul_mod(a, b, p));
@@ -1436,6 +1457,31 @@ TEST(FpDifferential, UnrolledOpsMatchGenericModOracles) {
       EXPECT_EQ(fp_inv(a), inv_mod(a, p));
       EXPECT_EQ(fp_mul(a, fp_inv(a)), U256{1});
     }
+  }
+}
+
+TEST(FpDifferential, ProductionOpsMatchTracedTemplates) {
+  // The production uint64_t field layer against the generic templates the
+  // TracedLimb checker instantiates, on poisoned (secret) operands: equal
+  // results, and no secret-dependent branch in the template.
+  using ct::TracedLimb;
+  const auto traced = [](const U256& x) {
+    return ct::lift_secret<TracedLimb>(x);
+  };
+  const auto cases = fp_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [a, b] = cases[i];
+    const auto ta = traced(a);
+    const auto tb = traced(b);
+    ASSERT_NO_THROW({
+      EXPECT_EQ(ct::declassify_u256(ct::fp_add_ct(ta, tb)), fp_add(a, b));
+      EXPECT_EQ(ct::declassify_u256(ct::fp_sub_ct(ta, tb)), fp_sub(a, b));
+      EXPECT_EQ(ct::declassify_u256(ct::fp_mul_ct(ta, tb)), fp_mul(a, b));
+      EXPECT_EQ(ct::declassify_u256(ct::fp_sqr_ct(ta)), fp_sqr(a));
+      if (i < 32) {  // the inversion chain is 270 traced operations
+        EXPECT_EQ(ct::declassify_u256(ct::fp_inv_ct(ta)), fp_inv(a));
+      }
+    }) << a.to_hex() << " " << b.to_hex();
   }
 }
 

@@ -10,6 +10,10 @@ reach a timing side channel:
   call     a tainted value is passed to a function that is neither
            certified nor itself under analysis
   wipe     a local holding raw secret bytes is never secure_wipe()d
+  annot    a definition shares its name with an annotated function but
+           carries no annotation itself: callees are vetted by bare name,
+           so such an overload (or same-named method) would be trusted
+           without its body ever being analyzed
 
 Taint sources
   * parameters named in a `// ct-lint: secret(a, b)` annotation on the
@@ -80,6 +84,13 @@ WIPE_RE = re.compile(r"secure_wipe\s*\(\s*([A-Za-z_][\w.]*)")
 METHOD_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*(\w+)\s*\(")
 WIPE_TYPES_RE = re.compile(
     r"^(?:const\s+)?(U256|Digest|auto|std::array<\s*(?:std::)?uint8_t[^;=]*>)\s*$")
+
+
+# Calls whose tainted arguments taint every other argument (out-params).
+OUT_PARAM_CALLEES = {
+    "memcpy", "ct_mul64", "ct_adc", "ct_sbb", "ct_swap", "mul64", "adc64",
+    "sbb64", "_addcarry_u64", "_subborrow_u64",
+}
 
 
 class Annotation:
@@ -168,6 +179,8 @@ class Function:
 def strip_line(raw: str) -> tuple[str, Annotation | None]:
     """Remove comments/strings from one line; return (code, annotation)."""
     annotation = None
+    if raw.lstrip().startswith("#"):
+        return "", None  # preprocessor directive: not code to analyze
     m = ANNOT_RE.search(raw)
     if m:
         annotation = Annotation.parse(m.group(1))
@@ -407,8 +420,7 @@ def analyze(functions: list[Function], analyzed_names: set[str],
                 # every other identifier argument of the same call.
                 for name, args in callees(stmt):
                     bn = base_name(name)
-                    if bn in ("memcpy", "ct_mul64", "ct_adc", "ct_sbb",
-                              "ct_swap"):
+                    if bn in OUT_PARAM_CALLEES:
                         if tainted_in(args, tainted):
                             for ident in IDENT_RE.findall(args):
                                 if ident not in tainted and \
@@ -529,6 +541,13 @@ def run(paths: list[pathlib.Path], baseline: set[str],
                           if f.annotation.public_return)
 
     findings = analyze(all_functions, analyzed, certified)
+    findings += [
+        Finding(f.path, f.start_line, "annot", f.name,
+                f"'{f.name}' is vetted by name, but this definition carries "
+                f"no ct-lint annotation, so its body is never analyzed")
+        for f in all_functions
+        if f.name in analyzed
+        and not (f.annotation.certified or f.annotation.secret_params)]
     new = [f for f in findings
            if not any(fnmatch.fnmatch(f.key(), pat) for pat in baseline)]
     return findings, new

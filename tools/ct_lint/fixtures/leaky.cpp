@@ -52,4 +52,20 @@ std::uint64_t leaky_no_wipe(std::uint64_t seed) {
   return 0;
 }
 
+// A certified template and an unannotated overload of the same name.
+// Callees are vetted by bare name, so the overload's secret-dependent
+// branch would be trusted unread; the lint demands its own annotation.
+// ct-lint: certified secret(a, b)
+template <class L>
+L fp_add_ct(L a, L b) {
+  return a ^ b;
+}
+
+std::uint64_t fp_add_ct(std::uint64_t a, std::uint64_t b) {
+  if (a > b) {
+    return a - b;
+  }
+  return b - a;
+}
+
 }  // namespace fixture
